@@ -4,7 +4,10 @@ Field elements are integers in [0, 2^w). Addition is XOR; multiplication
 uses log/antilog tables built from a primitive element eta, so results are
 value-exact. Scalar operations take plain ints; the second operand of
 ``mul`` may also be a numpy array, which is multiplied elementwise by the
-scalar (used to stream many stripes through the same linear recipe).
+scalar (used to stream many stripes through the same linear recipe). The
+array product is one gather from the 2^w-entry product table of the
+scalar (Plank, Greenan & Miller, FAST 2013) and keeps the array's dtype,
+so stored uint8/uint16 symbols are never widened.
 """
 
 from __future__ import annotations
@@ -21,6 +24,9 @@ from .errors import ParameterError
 REDUCTION_POLY = {8: 0x11D, 16: 0x1100B}
 
 DEFAULT_ETA = 2
+
+# Product tables a Field keeps at once (least recently used evicted).
+PRODUCT_TABLES = 256
 
 
 def symbols_equal(a, b) -> bool:
@@ -42,8 +48,42 @@ def carryless_mul(a: int, b: int, poly: int, w: int) -> int:
     return res
 
 
+def _mul_array(xs: np.ndarray, b: int, poly: int, w: int) -> np.ndarray:
+    """Elementwise xs * b in GF(2^w) by shift-and-add, reducing each shift.
+
+    xs is a uint32 array of field elements; the result is a new uint32
+    array.
+    """
+    x = xs.astype(np.uint32)
+    acc = np.zeros_like(x)
+    while b:
+        if b & 1:
+            acc ^= x
+        b >>= 1
+        x <<= 1
+        x ^= (x >> w) * poly
+    return acc
+
+
+def _exp_table(eta: int, poly: int, w: int) -> np.ndarray:
+    """eta^0 .. eta^(2^w - 2) by doubling: exp[m:2m] = exp[0:m] * eta^m."""
+    order = (1 << w) - 1
+    exp = np.empty(order, dtype=np.uint32)
+    exp[0] = 1
+    m = 1
+    while m < order:
+        step = min(m, order - m)
+        eta_m = carryless_mul(int(exp[m - 1]), eta, poly, w)
+        exp[m : m + step] = _mul_array(exp[:step], eta_m, poly, w)
+        m += step
+    return exp
+
+
 class Field:
-    """Arithmetic over GF(2^w) with log/antilog tables.
+    """Arithmetic over GF(2^w).
+
+    Scalars use log/antilog tables; stripe arrays use per-coefficient
+    product tables, built on first use and held in a bounded LRU.
 
     Parameters
     ----------
@@ -74,27 +114,25 @@ class Field:
         self.q = 1 << w
         self.order = self.q - 1
 
-        exp = [0] * (2 * self.order)
-        log = [-1] * self.q
-        x = 1
-        for i in range(self.order):
-            if log[x] != -1:
-                raise ParameterError(
-                    f"eta={eta:#x} is not primitive for poly {poly:#x} "
-                    f"(order {i} < {self.order})"
-                )
-            exp[i] = x
-            log[x] = i
-            x = carryless_mul(x, eta, poly, w)
-        if x != 1:
-            raise ParameterError(f"eta={eta:#x} is not primitive for poly {poly:#x}")
-        for i in range(self.order, 2 * self.order):
-            exp[i] = exp[i - self.order]
+        # symbols as stored (uint8 at w=8, uint16 at w=16)
+        self.dtype = np.min_scalar_type(self.order)
 
-        self._exp = exp
-        self._log = log
-        self._exp_np = np.array(exp, dtype=np.uint32)
-        self._log_np = np.array([0 if v < 0 else v for v in log], dtype=np.int64)
+        exp = _exp_table(eta, poly, w)
+        log = np.full(self.q, -1, dtype=np.int64)
+        log[exp] = np.arange(self.order)
+        if not np.array_equal(log[exp], np.arange(self.order)):
+            repeat = np.flatnonzero(exp[1:] == 1)
+            order = f" (order {repeat[0] + 1} < {self.order})" if repeat.size else ""
+            raise ParameterError(
+                f"eta={eta:#x} is not primitive for poly {poly:#x}{order}"
+            )
+
+        self._exp = exp.tolist() * 2
+        self._log = log.tolist()
+        # at most PRODUCT_TABLES * 2^w * w/8 bytes (32 MiB at w=16)
+        self.product_table = functools.lru_cache(maxsize=PRODUCT_TABLES)(
+            self._build_product_table
+        )
 
     def __repr__(self) -> str:
         return f"Field(w={self.w}, poly={self.poly:#x}, eta={self.eta:#x})"
@@ -104,15 +142,22 @@ class Field:
         """Field addition (XOR); works on ints and numpy arrays alike."""
         return a ^ b
 
+    def _build_product_table(self, a: int) -> np.ndarray:
+        if not 0 <= a < self.q:
+            raise ParameterError(f"coefficient {a} outside GF(2^{self.w})")
+        elems = np.arange(self.q, dtype=np.uint32)
+        table = _mul_array(elems, a, self.poly, self.w).astype(self.dtype)
+        table.flags.writeable = False
+        return table
+
     def mul(self, a: int, b):
-        """Multiply scalar a by b, where b is an int or a numpy array."""
+        """Multiply scalar a by b, where b is an int or a numpy array.
+
+        An array b gives a new array of b's dtype.
+        """
         if isinstance(b, np.ndarray):
-            if a == 0:
-                return np.zeros_like(b, dtype=np.uint32)
-            out = self._exp_np[self._log_np[b] + self._log[a]]
-            if (zero := b == 0).any():
-                out[zero] = 0
-            return out
+            out = self.product_table(a).take(b)
+            return out if out.dtype == b.dtype else out.astype(b.dtype)
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
@@ -139,24 +184,24 @@ class Field:
         return self._exp[e % self.order]
 
     def dot(self, coeffs, symbols):
-        """GF inner product; symbols may be ints or stripe arrays."""
-        if isinstance(symbols, (list, tuple)) and symbols and isinstance(symbols[0], int):
-            exp, log = self._exp, self._log
-            acc = 0
-            for c, x in zip(coeffs, symbols):
-                if c and x:
-                    acc ^= exp[log[c] + log[x]]
-            return acc
-        acc = None
-        for c, x in zip(coeffs, symbols):
-            term = self.mul(c, x)
-            acc = term if acc is None else acc ^ term
-        if acc is None:
-            return 0
-        return acc
+        """GF inner product; symbols may be ints or stripe arrays.
 
-    def matvec(self, rows, symbols) -> list:
-        return [self.dot(row, symbols) for row in rows]
+        On arrays the result is a new array and no input is modified.
+        """
+        if len(symbols) and isinstance(symbols[0], np.ndarray):
+            acc = np.zeros_like(symbols[0], dtype=np.result_type(*symbols))
+            for c, x in zip(coeffs, symbols):
+                if c == 1:
+                    acc ^= x
+                elif c:
+                    acc ^= self.mul(c, x)
+            return acc
+        exp, log = self._exp, self._log
+        acc = 0
+        for c, x in zip(coeffs, symbols):
+            if c and x:
+                acc ^= exp[log[c] + log[x]]
+        return acc
 
 
 @functools.lru_cache(maxsize=None)

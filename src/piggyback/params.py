@@ -137,6 +137,9 @@ class SymbolGrid:
 
 
 def grid_from_rows(params: CodeParams, rows: list[list]) -> SymbolGrid:
+    """Stack encoded rows; stripe arrays keep their symbols' dtype."""
+    if isinstance(rows[0][0], np.ndarray):
+        return SymbolGrid(params, np.array(rows))
     return SymbolGrid(params, np.array(rows, dtype=np.uint32))
 
 

@@ -113,9 +113,19 @@ def shard_filename(node: int) -> str:
 
 
 def _atomic_write(path: Path, blob: bytes):
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_bytes(blob)
-    os.replace(tmp, path)
+    """Replace path with blob via a temp file unique to this call.
+
+    The temp name starts with a dot and ends in .tmp, so the shard glob
+    never matches it; concurrent writers of one path never share it.
+    """
+    tmp = path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def write_shard(out_dir, header: ShardHeader, payload: bytes) -> Path:
@@ -166,9 +176,7 @@ def _node_columns(header: ShardHeader, path) -> np.ndarray:
 
 
 def _payload_from_row(header: ShardHeader, row) -> bytes:
-    cols = [np.asarray(col, dtype=np.uint32) for col in row]
-    stacked = np.stack(cols, axis=1) if cols else np.zeros((0, 0), dtype=np.uint32)
-    return stacked.astype(header.dtype).tobytes()
+    return np.stack(row, axis=1).astype(header.dtype, copy=False).tobytes()
 
 
 def _design_module(params: CodeParams):
@@ -185,7 +193,7 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     padded = raw + b"\x00" * (stripe_count * stripe_bytes - len(raw))
     dtype = np.dtype("<u1") if params.w == 8 else np.dtype("<u2")
     table = np.frombuffer(padded, dtype=dtype).reshape(stripe_count, ds)
-    data = [table[:, j].astype(np.uint32) for j in range(ds)]
+    data = list(np.ascontiguousarray(table.T))
 
     grid = _design_module(params).encode_stripe(params, data)
     out_dir = Path(out_dir)
@@ -223,11 +231,8 @@ def decode_file(in_dir, out_path) -> int:
         for node, (hdr, path) in shard_set.items()
     }
     data = _design_module(params).decode_from_k(params, rows)
-    if header.stripe_count:
-        table = np.stack([np.asarray(col, dtype=np.uint32) for col in data], axis=1)
-        blob = table.astype(header.dtype).tobytes()[: header.original_length]
-    else:
-        blob = b""
+    table = np.stack(data, axis=1).astype(header.dtype, copy=False)
+    blob = table.tobytes()[: header.original_length]
     _atomic_write(Path(out_path), blob)
     return len(blob)
 

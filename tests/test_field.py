@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from piggyback import ParameterError, field, parity_vectors
-from piggyback.field import REDUCTION_POLY, Field
+from piggyback.field import PRODUCT_TABLES, REDUCTION_POLY, Field, carryless_mul
 
 
 def slow_mul(a, b, poly, w):
@@ -117,6 +117,70 @@ def test_vector_mul_matches_scalar_path():
     assert out.dtype == np.uint32
     assert [int(x) for x in out] == [f.mul(a, int(x)) for x in vec]
     assert not f.mul(0, vec).any()
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.uint32])
+def test_vector_mul_all_pairs_w8(dtype):
+    f = field(8)
+    want = np.array([[f.mul(a, b) for b in range(256)] for a in range(256)])
+    vec = np.arange(256, dtype=dtype)
+    for a in range(256):
+        out = f.mul(a, vec)
+        assert out.dtype == vec.dtype
+        assert np.array_equal(out, want[a]), a
+    assert f.mul(0, vec).dtype == vec.dtype
+
+
+def test_vector_mul_w16_native_dtype():
+    f = field(16)
+    rng = random.Random(14)
+    vec = np.array([rng.randrange(f.q) for _ in range(4000)], dtype=np.uint16)
+    vec[:2] = (0, f.order)
+    for a in [0, 1, f.order] + [rng.randrange(f.q) for _ in range(20)]:
+        out = f.mul(a, vec)
+        assert out.dtype == np.uint16
+        assert [int(x) for x in out] == [f.mul(a, int(x)) for x in vec]
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_exp_log_tables_match_carryless_reference(w):
+    f = Field(w)
+    exp, log = [0] * (2 * f.order), [-1] * f.q
+    x = 1
+    for i in range(f.order):
+        exp[i] = exp[i + f.order] = x
+        log[x] = i
+        x = carryless_mul(x, f.eta, f.poly, w)
+    assert f._exp == exp
+    assert f._log == log
+
+
+def test_product_table_cache_is_bounded():
+    f = Field(16)
+    rng = random.Random(15)
+    vec = np.array([rng.randrange(f.q) for _ in range(64)], dtype=np.uint16)
+    coeffs = rng.sample(range(1, f.q), PRODUCT_TABLES + 40)
+    for a in coeffs + coeffs[:10]:
+        out = f.mul(a, vec)
+        assert [int(x) for x in out] == [f.mul(a, int(x)) for x in vec]
+        assert f.product_table.cache_info().currsize <= PRODUCT_TABLES
+    assert f.product_table.cache_info().currsize == PRODUCT_TABLES
+
+
+def test_dot_leaves_inputs_unchanged():
+    f = field(16)
+    rng = np.random.default_rng(16)
+    arrs = [rng.integers(0, f.q, 50, dtype=np.uint16) for _ in range(5)]
+    before = [a.copy() for a in arrs]
+    for coeffs in ([1, 7, 0, 1, 3], [0, 0, 0, 0, 0], [5, 1, 1, 0, 9]):
+        out = f.dot(coeffs, arrs)
+        assert out.dtype == np.uint16
+        assert all(out is not a for a in arrs)
+        want = [
+            f.dot(coeffs, [int(a[i]) for a in before]) for i in range(50)
+        ]
+        assert [int(x) for x in out] == want
+        assert all(np.array_equal(a, b) for a, b in zip(arrs, before))
 
 
 def test_dot_scalar_and_vector_agree():

@@ -1,10 +1,12 @@
 """Shard file format and whole-file operations."""
 
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from piggyback import CodeParams, DataError, RepairError, shards
+from piggyback import CodeParams, DataError, RepairError, design1, design2, shards
 from piggyback.shards import HEADER_SIZE, ShardHeader
 
 
@@ -75,6 +77,43 @@ def test_encode_decode_identity(tmp_path, design, params, w, size):
     written = shards.decode_file(out_dir, out)
     assert written == size
     assert out.read_bytes() == src.read_bytes()
+
+
+def reference_payloads(p, raw):
+    """Shard payloads from a per-stripe encode on plain ints."""
+    sym = p.w // 8
+    stripe_bytes = p.data_symbols * sym
+    count = -(-len(raw) // stripe_bytes)
+    raw += bytes(count * stripe_bytes - len(raw))
+    design = design2 if p.kprime == 0 else design1
+    payloads = {node: bytearray() for node in range(1, p.n + 1)}
+    for start in range(0, len(raw), stripe_bytes):
+        data = [
+            int.from_bytes(raw[i : i + sym], "little")
+            for i in range(start, start + stripe_bytes, sym)
+        ]
+        grid = design.encode_stripe(p, data)
+        for node, payload in payloads.items():
+            for v in grid.row(node):
+                payload += v.to_bytes(sym, "little")
+    return payloads
+
+
+@pytest.mark.parametrize("params", [
+    dict(n=11, k=7, s=2, kprime=4),
+    dict(n=11, k=7, s=2, kprime=7),
+    dict(n=7, k=5, s=2, kprime=0),
+])
+@pytest.mark.parametrize("w", [8, 16])
+def test_encode_matches_scalar_reference(tmp_path, params, w):
+    p = CodeParams(w=w, **params)
+    src = write_file(tmp_path, 1501, seed=w)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    want = reference_payloads(p, src.read_bytes())
+    for node in range(1, p.n + 1):
+        _, payload = shards.read_shard(out_dir / shards.shard_filename(node))
+        assert payload == want[node], node
 
 
 def test_zero_length_file_has_zero_stripes(tmp_path):
@@ -205,3 +244,37 @@ def test_shard_reader_missing_node(tmp_path):
     reader = shards.ShardReader(shard_set)
     with pytest.raises(RepairError, match="node 3"):
         reader(3, 1)
+
+
+def test_concurrent_writes_of_one_shard(tmp_path):
+    hdr = header(stripe_count=4096)
+    payloads = [bytes([i]) * 8192 for i in range(16)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            futures = [
+                pool.submit(shards.write_shard, tmp_path, hdr, payloads[i % 16])
+                for i in range(200)
+            ]
+            paths = {f.result(timeout=60) for f in futures}
+    finally:
+        sys.setswitchinterval(switch)
+    path = tmp_path / shards.shard_filename(hdr.node_index)
+    assert paths == {path}
+    assert path.read_bytes() in {hdr.pack() + p for p in payloads}
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    hdr = header()
+    path = shards.write_shard(tmp_path, hdr, b"a" * 24)
+
+    def fail(src, dst):
+        raise OSError("disk gone")
+
+    monkeypatch.setattr(shards.os, "replace", fail)
+    with pytest.raises(OSError, match="disk gone"):
+        shards.write_shard(tmp_path, hdr, b"b" * 24)
+    assert list(tmp_path.iterdir()) == [path]
+    assert path.read_bytes() == hdr.pack() + b"a" * 24
