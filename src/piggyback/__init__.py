@@ -6,7 +6,7 @@ from multi-node failures, closed-form bandwidth/overhead evaluators with
 LRC and OOP baselines, and a shard-file CLI (``piggyback.cli``).
 """
 
-from . import analysis, design1, design2
+from . import analysis, design1, design2, stripe
 from .errors import (
     DataError,
     DecodeError,
@@ -31,6 +31,7 @@ __all__ = [
     "analysis",
     "design1",
     "design2",
+    "stripe",
     "CodeParams",
     "DataError",
     "DecodeError",

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import design1, design2
+from . import design1, stripe
 from .errors import ParameterError
 from .params import CodeParams, Variant, grid_reader
 
@@ -118,12 +118,11 @@ def gamma_sim(params: CodeParams, seed: int = 0) -> RatioReport:
     """
     rng = random.Random(seed)
     data = [rng.randrange(params.fld.q) for _ in range(params.data_symbols)]
-    mod = design2 if params.variant is Variant.DESIGN2 else design1
-    grid = mod.encode_stripe(params, data)
+    grid = stripe.encode_stripe(params, data)
     expected = grid.cells.tolist()
     bandwidths = []
     for f in range(1, params.n + 1):
-        row, report = mod.repair_node(params, f, grid_reader(grid, failed={f}))
+        row, report = stripe.repair_node(params, f, grid_reader(grid, failed={f}))
         if row != expected[f - 1]:
             raise AssertionError(
                 f"repair of node {f} disagrees with the original stripe"

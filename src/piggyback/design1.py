@@ -6,29 +6,23 @@ exactly one of the h+r-1 piggyback sums p_1..p_{h+r-1}; p_tau is added to
 the parity symbol in row k'+1+tau of the last column. Single-node repair
 recovers the s+1 lost symbols by reading k' last-column symbols plus the
 piggyback sums that contain the lost cells, never touching the failed row.
+
+This module holds the placement rule; encode, repair and decode are the
+shared engine of ``piggyback.stripe``, re-exported here.
 """
 
 from __future__ import annotations
 
-import functools
-from dataclasses import dataclass
-from typing import Callable, Mapping
-
-from .errors import DecodeError, InsufficientDataError, ParameterError
-from .field import symbols_equal
-from .params import (
-    CodeParams,
-    ReadTracker,
-    RepairReport,
-    SymbolGrid,
-    Variant,
-    grid_from_rows,
+from .errors import ParameterError
+from .params import CodeParams, Variant
+# the shared engine, re-exported under the layout's name
+from .stripe import (  # noqa: F401
+    PiggybackMap,
+    build_map,
+    decode_from_k,
+    encode_stripe,
+    repair_node,
 )
-
-
-def _require_design1(params: CodeParams):
-    if params.variant is Variant.DESIGN2:
-        raise ParameterError("operation needs kprime > 0 (design1 layouts)")
 
 
 def piggyback_index(params: CodeParams, i: int, j: int) -> tuple[int, int]:
@@ -37,7 +31,8 @@ def piggyback_index(params: CodeParams, i: int, j: int) -> tuple[int, int]:
     i is the column in 1..s, j the row in 1..n. The target row storing
     p_tau is always k'+1+tau.
     """
-    _require_design1(params)
+    if params.variant is Variant.DESIGN2:
+        raise ParameterError("operation needs kprime > 0 (design1 layouts)")
     if not 1 <= i <= params.s:
         raise ParameterError(f"column {i} out of [1, {params.s}]")
     if not 1 <= j <= params.n:
@@ -49,184 +44,3 @@ def piggyback_index(params: CodeParams, i: int, j: int) -> tuple[int, int]:
         t = i + j - params.k + h if i + j <= params.n else i + j - params.n + 1
         tau = t - 1
     return tau, kp + 1 + tau
-
-
-@dataclass(frozen=True)
-class PiggybackMap:
-    """Placement of every source cell into its piggyback sum.
-
-    source_to_tau maps (column i, row j) to (tau, target_row);
-    contributors[tau] lists the source cells of p_tau; counts[tau] is the
-    contributor count n_tau.
-    """
-
-    params: CodeParams
-    source_to_tau: Mapping[tuple[int, int], tuple[int, int]]
-    contributors: Mapping[int, tuple[tuple[int, int], ...]]
-    counts: Mapping[int, int]
-
-
-@functools.lru_cache(maxsize=512)
-def build_map(params: CodeParams) -> PiggybackMap:
-    """Enumerate all piggyback placements for the given parameters."""
-    _require_design1(params)
-    source_to_tau = {}
-    contrib: dict[int, list[tuple[int, int]]] = {
-        tau: [] for tau in range(1, params.h + params.r)
-    }
-    for i in range(1, params.s + 1):
-        for j in range(1, params.n + 1):
-            tau, target = piggyback_index(params, i, j)
-            source_to_tau[(i, j)] = (tau, target)
-            contrib[tau].append((i, j))
-    return PiggybackMap(
-        params=params,
-        source_to_tau=source_to_tau,
-        contributors={t: tuple(v) for t, v in contrib.items()},
-        counts={t: len(v) for t, v in contrib.items()},
-    )
-
-
-def encode_stripe(params: CodeParams, data) -> SymbolGrid:
-    """Encode s*k + k' data symbols into the n x (s+1) stripe."""
-    _require_design1(params)
-    data = list(data)
-    if len(data) != params.data_symbols:
-        raise ParameterError(
-            f"expected {params.data_symbols} data symbols, got {len(data)}"
-        )
-    s, k, kp = params.s, params.k, params.kprime
-    cols = [
-        params.mds_first.encode(data[(i - 1) * k : i * k]) for i in range(1, s + 1)
-    ]
-    last = params.mds_last.encode(data[s * k :])
-    pb = build_map(params)
-    for tau, sources in pb.contributors.items():
-        acc = None
-        for ci, cj in sources:
-            v = cols[ci - 1][cj - 1]
-            acc = v if acc is None else acc ^ v
-        if acc is not None:
-            last[kp + tau] = last[kp + tau] ^ acc
-    rows = [[cols[i][j] for i in range(s)] + [last[j]] for j in range(params.n)]
-    return grid_from_rows(params, rows)
-
-
-def repair_node(
-    params: CodeParams, f: int, read: Callable[[int, int], object]
-) -> tuple[list, RepairReport]:
-    """Rebuild the s+1 symbols of failed node f from surviving cells.
-
-    ``read(node, column)`` must return the cell symbol; reads are
-    deduplicated and reported. Bandwidth is k' + sum of the sizes of the
-    piggyback sums containing row f's first-s-column symbols, plus the
-    size of the sum stored in row f itself when f >= k'+2.
-    """
-    _require_design1(params)
-    if not 1 <= f <= params.n:
-        raise ParameterError(f"node {f} out of [1, {params.n}]")
-    s, kp = params.s, params.kprime
-    last_col = s + 1
-    pb = build_map(params)
-    tracker = ReadTracker(read, (f,))
-
-    mds_b = params.mds_last
-    if f == kp + 1:
-        b = [tracker.fetch(row, last_col) for row in range(1, kp + 1)]
-    elif f <= kp:
-        # k'-1 systematic symbols plus the first parity symbol: solve the
-        # single unknown b_f from the parity equation directly.
-        known = {
-            row: tracker.fetch(row, last_col)
-            for row in range(1, kp + 2)
-            if row != f
-        }
-        q1 = mds_b.parity[0]
-        if q1[f - 1] == 0:
-            b = mds_b.decode_data(known)
-        else:
-            acc = known[kp + 1]
-            for j in range(1, kp + 1):
-                if j != f:
-                    acc = acc ^ params.fld.mul(q1[j - 1], known[j])
-            b = [known[j] if j != f else None for j in range(1, kp + 1)]
-            b[f - 1] = params.fld.div(acc, q1[f - 1])
-    else:
-        b = [tracker.fetch(row, last_col) for row in range(1, kp + 1)]
-
-    row_syms = []
-    for i in range(1, s + 1):
-        tau, target = pb.source_to_tau[(i, f)]
-        acc = tracker.fetch(target, last_col) ^ mds_b.symbol_at(kp + 1 + tau, b)
-        for ci, cj in pb.contributors[tau]:
-            if (ci, cj) != (i, f):
-                acc = acc ^ tracker.fetch(cj, ci)
-        row_syms.append(acc)
-
-    if f <= kp + 1:
-        last = mds_b.symbol_at(f, b)
-    else:
-        acc = None
-        for ci, cj in pb.contributors[f - kp - 1]:
-            v = tracker.fetch(cj, ci)
-            acc = v if acc is None else acc ^ v
-        own = mds_b.symbol_at(f, b)
-        last = own if acc is None else own ^ acc
-    row_syms.append(last)
-
-    reads = tracker.reads()
-    report = RepairReport(node=f, bandwidth=len(reads), reads=reads, symbols=row_syms)
-    return row_syms, report
-
-
-def decode_from_k(params: CodeParams, rows: Mapping[int, object]) -> list:
-    """Recover all s*k + k' data symbols from any k surviving rows.
-
-    ``rows`` maps node index to its s+1 symbols. The result re-encodes to
-    a stripe agreeing with every supplied row; disagreement raises
-    DecodeError.
-    """
-    _require_design1(params)
-    if len(rows) < params.k:
-        raise InsufficientDataError(
-            f"need {params.k} rows to decode, got {len(rows)}"
-        )
-    s, k, kp = params.s, params.k, params.kprime
-    for node, row in rows.items():
-        if not 1 <= node <= params.n:
-            raise ParameterError(f"node {node} out of [1, {params.n}]")
-        if len(row) != s + 1:
-            raise ParameterError(f"row {node} must hold {s + 1} symbols")
-
-    cols = []
-    for i in range(1, s + 1):
-        known = {node: row[i - 1] for node, row in rows.items()}
-        cols.append(params.mds_first.decode(known, verify=False))
-
-    pb = build_map(params)
-    pvals = {}
-    for tau, sources in pb.contributors.items():
-        acc = None
-        for ci, cj in sources:
-            v = cols[ci - 1][cj - 1]
-            acc = v if acc is None else acc ^ v
-        pvals[tau] = acc
-
-    clean = {}
-    for node, row in rows.items():
-        v = row[s]
-        if node >= kp + 2:
-            v = v ^ pvals[node - kp - 1]
-        clean[node] = v
-    cw_b = params.mds_last.decode(clean, verify=False)
-
-    data = [sym for i in range(s) for sym in cols[i][:k]] + cw_b[:kp]
-
-    grid = encode_stripe(params, data)
-    for node, row in rows.items():
-        for c in range(s + 1):
-            if not symbols_equal(grid.cells[node - 1][c], row[c]):
-                raise DecodeError(
-                    f"supplied row {node} disagrees with re-encoded stripe"
-                )
-    return data

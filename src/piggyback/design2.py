@@ -8,28 +8,21 @@ p_m = a_{1, m-1} + a_{2, m-2} + ... + a_{s, m-s} (row indices wrapped to
 Any single node repairs with exactly s + s^2 reads. Up to r = n-k
 simultaneous failures decode column by column; r+1 failures are
 recoverable by a sequential sweep whenever k > (s-1)(r+1)+1.
+
+This module holds the placement rule and the multi-failure recovery;
+encode, repair and decode are the shared engine of ``piggyback.stripe``,
+re-exported here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable
 
-from .errors import (
-    DecodeError,
-    InsufficientDataError,
-    ParameterError,
-    UnsupportedPatternError,
-)
-from .field import symbols_equal
-from .params import (
-    CodeParams,
-    ReadTracker,
-    RepairReport,
-    SymbolGrid,
-    Variant,
-    grid_from_rows,
-)
+from .errors import ParameterError, UnsupportedPatternError
+from .params import CodeParams, ReadTracker, Variant
+# the shared engine, re-exported under the layout's name
+from .stripe import build_map, decode_from_k, encode_stripe, repair_node  # noqa: F401
 
 
 def _require_design2(params: CodeParams):
@@ -94,65 +87,6 @@ class FailurePattern:
         return cls(rows, gaps)
 
 
-def encode_stripe(params: CodeParams, data) -> SymbolGrid:
-    """Encode s*k data symbols into the n x (s+1) stripe."""
-    _require_design2(params)
-    data = list(data)
-    if len(data) != params.data_symbols:
-        raise ParameterError(
-            f"expected {params.data_symbols} data symbols, got {len(data)}"
-        )
-    s, k = params.s, params.k
-    cols = [
-        params.mds_first.encode(data[(i - 1) * k : i * k]) for i in range(1, s + 1)
-    ]
-    pvals = []
-    for m in range(1, params.n + 1):
-        acc = None
-        for i, row in piggyback_sources(params, m):
-            v = cols[i - 1][row - 1]
-            acc = v if acc is None else acc ^ v
-        pvals.append(acc)
-    rows = [[cols[i][j] for i in range(s)] + [pvals[j]] for j in range(params.n)]
-    return grid_from_rows(params, rows)
-
-
-def repair_node(
-    params: CodeParams, f: int, read: Callable[[int, int], object]
-) -> tuple[list, RepairReport]:
-    """Rebuild node f with exactly s + s^2 reads.
-
-    s reads rebuild the lost piggyback sum p_f; each of the s lost
-    codeword symbols then costs one piggyback read plus s-1 contributor
-    reads. All reads are distinct and avoid row f.
-    """
-    _require_design2(params)
-    if not 1 <= f <= params.n:
-        raise ParameterError(f"node {f} out of [1, {params.n}]")
-    s = params.s
-    last_col = s + 1
-    tracker = ReadTracker(read, (f,))
-
-    p_f = None
-    for i, row in piggyback_sources(params, f):
-        v = tracker.fetch(row, i)
-        p_f = v if p_f is None else p_f ^ v
-
-    row_syms = []
-    for j in range(1, s + 1):
-        m = wrap(params, j + f)
-        acc = tracker.fetch(m, last_col)
-        for i, row in piggyback_sources(params, m):
-            if (i, row) != (j, f):
-                acc = acc ^ tracker.fetch(row, i)
-        row_syms.append(acc)
-    row_syms.append(p_f)
-
-    reads = tracker.reads()
-    report = RepairReport(node=f, bandwidth=len(reads), reads=reads, symbols=row_syms)
-    return row_syms, report
-
-
 def recover_failures(
     params: CodeParams, failed, read: Callable[[int, int], object]
 ) -> dict[int, list]:
@@ -179,6 +113,7 @@ def recover_failures(
             f"{(s - 1) * (r + 1) + 1}, got k={k}"
         )
 
+    sums = build_map(params).sums
     failed_set = set(rows_failed)
     survivors = [row for row in range(1, n + 1) if row not in failed_set]
     tracker = ReadTracker(read, failed_set)
@@ -205,7 +140,7 @@ def recover_failures(
             col = s - ell
             m_target = wrap(params, f_j + col)
             acc = tracker.fetch(m_target, s + 1)
-            for i, row in piggyback_sources(params, m_target):
+            for i, row in sums[m_target]:
                 if (i, row) == (col, f_j):
                     continue
                 if row in failed_set:
@@ -224,39 +159,9 @@ def recover_failures(
     for f in rows_failed:
         syms = [cols_full[i][f - 1] for i in range(1, s + 1)]
         p = None
-        for i, row in piggyback_sources(params, f):
+        for i, row in sums[f]:
             v = cols_full[i][row - 1]
             p = v if p is None else p ^ v
         syms.append(p)
         out[f] = syms
     return out
-
-
-def decode_from_k(params: CodeParams, rows: Mapping[int, object]) -> list:
-    """Recover all s*k data symbols from any k surviving rows."""
-    _require_design2(params)
-    if len(rows) < params.k:
-        raise InsufficientDataError(
-            f"need {params.k} rows to decode, got {len(rows)}"
-        )
-    s, k = params.s, params.k
-    for node, row in rows.items():
-        if not 1 <= node <= params.n:
-            raise ParameterError(f"node {node} out of [1, {params.n}]")
-        if len(row) != s + 1:
-            raise ParameterError(f"row {node} must hold {s + 1} symbols")
-
-    cols = []
-    for i in range(1, s + 1):
-        known = {node: row[i - 1] for node, row in rows.items()}
-        cols.append(params.mds_first.decode(known, verify=False))
-    data = [sym for i in range(s) for sym in cols[i][:k]]
-
-    grid = encode_stripe(params, data)
-    for node, row in rows.items():
-        for c in range(s + 1):
-            if not symbols_equal(grid.cells[node - 1][c], row[c]):
-                raise DecodeError(
-                    f"supplied row {node} disagrees with re-encoded stripe"
-                )
-    return data

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import design1, design2
+from . import design2, stripe
 from .errors import (
     DataError,
     InsufficientDataError,
@@ -80,6 +80,10 @@ class ShardHeader:
                 f"corrupt header: design {design} with kprime {kprime}"
             )
         hdr = cls(design, n, k, s, kprime, w, node, length, stripes)
+        try:
+            hdr.params()
+        except ParameterError as exc:
+            raise DataError(f"corrupt header: {exc}") from exc
         data_bytes = stripes * hdr.symbols_per_stripe * (w // 8)
         if length > data_bytes:
             raise DataError(
@@ -152,7 +156,9 @@ def load_shard_set(in_dir) -> dict[int, tuple[ShardHeader, Path]]:
     found: dict[int, tuple[ShardHeader, Path]] = {}
     reference = None
     for path in sorted(in_dir.glob("shard_*.pgb")):
-        header = ShardHeader.unpack(path.read_bytes()[:HEADER_SIZE])
+        # unbuffered, so only the header is read, not a buffer's worth
+        with open(path, "rb", buffering=0) as fh:
+            header = ShardHeader.unpack(fh.read(HEADER_SIZE))
         if reference is None:
             reference = header
         elif not header.same_set(reference):
@@ -179,10 +185,6 @@ def _payload_from_row(header: ShardHeader, row) -> bytes:
     return np.stack(row, axis=1).astype(header.dtype, copy=False).tobytes()
 
 
-def _design_module(params: CodeParams):
-    return design2 if params.variant is Variant.DESIGN2 else design1
-
-
 def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     """Stripe, encode and write all n shards for a file."""
     raw = Path(in_path).read_bytes()
@@ -195,7 +197,7 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     table = np.frombuffer(padded, dtype=dtype).reshape(stripe_count, ds)
     data = list(np.ascontiguousarray(table.T))
 
-    grid = _design_module(params).encode_stripe(params, data)
+    grid = stripe.encode_stripe(params, data)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     design_byte = 2 if params.variant is Variant.DESIGN2 else 1
@@ -230,7 +232,7 @@ def decode_file(in_dir, out_path) -> int:
         node: list(_node_columns(hdr, path))
         for node, (hdr, path) in shard_set.items()
     }
-    data = _design_module(params).decode_from_k(params, rows)
+    data = stripe.decode_from_k(params, rows)
     table = np.stack(data, axis=1).astype(header.dtype, copy=False)
     blob = table.tobytes()[: header.original_length]
     _atomic_write(Path(out_path), blob)
@@ -264,9 +266,7 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
     params = sample.params()
     if not 1 <= node <= params.n:
         raise ParameterError(f"node {node} out of [1, {params.n}]")
-    row, report = _design_module(params).repair_node(
-        params, node, ShardReader(shard_set)
-    )
+    row, report = stripe.repair_node(params, node, ShardReader(shard_set))
     header = replace(sample, node_index=node)
     write_shard(in_dir, header, _payload_from_row(header, row))
     return header, report
@@ -276,8 +276,8 @@ def recover_shards(in_dir, nodes) -> list[int]:
     """Recover several failed shards at once and rewrite them.
 
     The k'=0 layout uses its dedicated multi-failure procedure; the other
-    layouts re-decode the stripe from any k surviving shards and re-encode
-    the failed rows.
+    layouts decode the whole stripe from the surviving shards, checking
+    every one of them, and take the failed rows from it.
     """
     in_dir = Path(in_dir)
     nodes = sorted(set(nodes))
@@ -304,9 +304,8 @@ def recover_shards(in_dir, nodes) -> list[int]:
             node: [reader(node, c) for c in range(1, params.s + 2)]
             for node in shard_set
         }
-        data = design1.decode_from_k(params, rows)
-        grid = design1.encode_stripe(params, data)
-        recovered = {node: list(grid.cells[node - 1]) for node in nodes}
+        full = stripe.decode_stripe(params, rows)
+        recovered = {node: full[node - 1] for node in nodes}
 
     for node in nodes:
         header = replace(sample, node_index=node)

@@ -5,8 +5,11 @@ import random
 import subprocess
 import sys
 
+import pytest
+
 from piggyback import analysis
 from piggyback.cli import main
+from piggyback.shards import ShardHeader
 
 
 def write_file(tmp_path, size, seed=0):
@@ -104,6 +107,22 @@ def test_corrupt_header_exit_3(tmp_path, capsys):
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
     assert err["error"] == "data" and "header" in err["message"]
+
+
+@pytest.mark.parametrize("fields", [dict(w=12), dict(k=8), dict(k=9)],
+                         ids=["w12", "k_eq_n", "k_gt_n"])
+def test_header_without_valid_code_exit_3(tmp_path, capsys, fields):
+    # every other header field is valid, but the tuple is no code
+    bad_dir = tmp_path / "shards"
+    bad_dir.mkdir()
+    base = dict(design=1, n=8, k=6, s=1, kprime=3, w=8, node_index=1,
+                original_length=0, stripe_count=0)
+    base.update(fields)
+    (bad_dir / "shard_0001.pgb").write_bytes(ShardHeader(**base).pack())
+    code = run(["decode", "--in-dir", bad_dir, "--out", tmp_path / "out.bin"])
+    assert code == 3
+    err = json.loads(capsys.readouterr().err.strip())
+    assert err["error"] == "data" and "corrupt header" in err["message"]
 
 
 def test_insufficient_shards_exit_3(tmp_path, capsys):

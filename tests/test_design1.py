@@ -283,3 +283,24 @@ class TestDecodeFromK:
         out = design1.decode_from_k(P863, rows)
         for want, got in zip(data, out):
             assert np.array_equal(want, got)
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["int", "array"])
+    def test_corrupt_redundant_last_column_detected(self, vector):
+        # rows 7 and 8 take no part in decoding (the first k rows decode
+        # columns 1..s, the first k' rows column s+1), so only the check of
+        # the supplied rows against the decoded stripe can see the flip
+        if vector:
+            rng = np.random.default_rng(19)
+            data = [rng.integers(0, 256, 4, dtype=np.uint8)
+                    for _ in range(P863.data_symbols)]
+        else:
+            data = rand_data(P863, seed=19)
+        grid = design1.encode_stripe(P863, data)
+        rows = {f: [np.copy(x) if vector else int(x) for x in grid.cells[f - 1]]
+                for f in range(1, 9)}
+        if vector:
+            rows[7][P863.s][2] ^= 1
+        else:
+            rows[7][P863.s] ^= 1
+        with pytest.raises(DecodeError):
+            design1.decode_from_k(P863, rows)

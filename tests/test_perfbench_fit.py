@@ -1,0 +1,56 @@
+"""The benchmark under perfbench/ still fits the package.
+
+perfbench patches and clears names of the package from outside it. A
+refactor that drops one of those names fails here, not only in a traced
+benchmark run.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+from piggyback import CodeParams, design1, grid_reader
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(PERFBENCH))
+    try:
+        yield {name: importlib.import_module(name)
+               for name in ("run", "tracing", "workloads")}
+    finally:
+        sys.path.remove(str(PERFBENCH))
+
+
+def test_tracer_installs_traces_and_uninstalls(bench):
+    tracing = bench["tracing"]
+    params = CodeParams(8, 6, 1, 3, w=8)
+    originals = (design1.encode_stripe, design1.repair_node)
+    read_bytes = tracing.ReadBytes()
+    tracer = tracing.Tracer(read_bytes)
+    try:
+        tracer.install()
+        tracer.begin_op(0, "repair")
+        grid = design1.encode_stripe(params, list(range(params.data_symbols)))
+        design1.repair_node(params, 1, grid_reader(grid, failed={1}))
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+        read_bytes.close()
+    assert (design1.encode_stripe, design1.repair_node) == originals
+    assert tracer.calls("design1.encode_stripe") == 1
+    assert tracer.calls("design1.repair_node") == 1
+    assert tracer.calls("params.fetch") > 0
+
+
+def test_sweep_cycle_clears_the_caches_run_reports(bench, tmp_path):
+    run, workloads = bench["run"], bench["workloads"]
+    design1.build_map(CodeParams(8, 6, 1, 3, w=8))
+    workloads.Sweep(seed=1, tmp=tmp_path).begin_cycle(0)
+    counts = run.cache_counts()
+    assert set(counts) == {"build_map", "mds_code", "field"}
+    assert all(info.currsize == 0 for info in counts.values())

@@ -185,9 +185,25 @@ def test_recover_design1_by_redecode(tmp_path):
         assert (out_dir / shards.shard_filename(node)).read_bytes() == blob
 
 
+def test_recover_design1_rejects_corrupt_survivor(tmp_path):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 700, seed=12)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    (out_dir / shards.shard_filename(1)).unlink()
+    path = out_dir / shards.shard_filename(3)
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + 5] ^= 0x21
+    path.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    with pytest.raises(DataError):
+        shards.recover_shards(out_dir, [1])
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
 def test_corrupt_symbol_detected_on_decode(tmp_path):
     # with more than k shards available, a flipped payload byte makes the
-    # supplied rows inconsistent with the re-encoded stripe
+    # supplied rows inconsistent with the decoded stripe
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 900, seed=11)
     out_dir = tmp_path / "shards"
