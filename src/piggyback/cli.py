@@ -22,14 +22,14 @@ import random
 import sys
 from math import comb
 
-from . import analysis, design1, design2, shards
+from . import analysis, shards, stripe
 from .errors import (
     DataError,
     ParameterError,
     PiggybackError,
     UnsupportedPatternError,
 )
-from .params import CodeParams, Variant, grid_reader
+from .params import CodeParams, grid_reader
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -114,29 +114,34 @@ def cmd_recover(args) -> int:
     return EXIT_OK
 
 
-def _verify_design1(params: CodeParams, rng: random.Random, emit) -> None:
-    pb = design1.build_map(params)
+def cmd_verify(args) -> int:
+    params = _params_from_args(args)
+    rng = random.Random(args.seed)
+    emit = lambda msg: print(f"ok: {msg}")
+    print(f"verifying {params.describe()}")
+    n, s = params.n, params.s
+
+    pb = stripe.build_map(params)
     total = sum(pb.counts.values())
-    if total != params.s * params.n:
-        raise DataError(f"map sum {total} != s(k+r) = {params.s * params.n}")
-    emit(f"map sum identity: {total} = s(k+r)")
-
-    for tau, cnt in pb.counts.items():
-        want = analysis.n_tau_closed_form(params, tau)
-        if cnt != want:
-            raise DataError(f"count of sum {tau}: enumerated {cnt}, closed form {want}")
-    emit("contributor counts match the closed form")
-
-    for j in range(1, params.n + 1):
-        taus = [pb.source_to_tau[(i, j)][0] for i in range(1, params.s + 1)]
-        if len(set(taus)) != params.s:
+    if total != s * n:
+        raise DataError(f"map sum {total} != s*n = {s * n}")
+    emit(f"map sum identity: {total} = s*n")
+    for j in range(1, n + 1):
+        targets = [pb.source_to_tau[(i, j)][1] for i in range(1, s + 1)]
+        if len(set(targets)) != s:
             raise DataError(f"row {j} feeds a piggyback sum twice")
-        for i in range(1, params.s + 1):
-            if pb.source_to_tau[(i, j)][1] == j:
-                raise DataError(f"cell ({i},{j}) lands in its own row")
+        if j in targets:
+            raise DataError(f"a cell of row {j} lands in its own row")
     emit("per-row distinctness and self-row exclusion hold")
+    if params.kprime:
+        for tau, cnt in pb.counts.items():
+            want = analysis.n_tau_closed_form(params, tau)
+            if cnt != want:
+                raise DataError(f"count of sum {tau}: enumerated {cnt}, closed form {want}")
+        emit("contributor counts match the closed form")
 
-    for inst in (params.mds_first, params.mds_last):
+    instances = [params.mds_first] + ([params.mds_last] if params.kprime else [])
+    for inst in dict.fromkeys(instances):
         if comb(inst.n, inst.k) <= 2000:
             check = inst.verify_mds(mode="exhaustive", budget=2000)
         else:
@@ -148,85 +153,39 @@ def _verify_design1(params: CodeParams, rng: random.Random, emit) -> None:
         emit(f"({inst.n},{inst.k}) instance MDS check passed ({check.tested} subsets)")
 
     report = analysis.gamma_sim(params, seed=rng.randrange(2**30))
-    for f in range(1, params.n + 1):
+    for f in range(1, n + 1):
         want = analysis.repair_bandwidth_closed_form(params, f)
         got = report.per_node_bandwidth[f - 1]
         if got != want:
             raise DataError(f"node {f} bandwidth {got} != closed form {want}")
     emit("every node repairs exactly and at closed-form bandwidth")
-    if report.gamma_bound is not None and report.gamma_sim > report.gamma_bound:
-        raise DataError(f"gamma {report.gamma_sim} exceeds bound {report.gamma_bound}")
-    emit(f"gamma = {float(report.gamma_sim):.6f} <= bound {float(report.gamma_bound):.6f}")
-    if params.variant is Variant.DESIGN1_MDS:
-        if not report.gamma_min <= report.gamma_sim <= report.gamma_max:
+    gamma = report.gamma_sim
+    if report.gamma_bound is not None:
+        if gamma > report.gamma_bound:
+            raise DataError(f"gamma {gamma} exceeds bound {report.gamma_bound}")
+        emit(f"gamma = {float(gamma):.6f} <= bound {float(report.gamma_bound):.6f}")
+    if report.gamma_min is not None:
+        if not report.gamma_min <= gamma <= report.gamma_max:
             raise DataError("gamma outside the k'=k bounds")
         emit("gamma lies inside the k'=k lower/upper bounds")
 
-
-def _verify_design2(params: CodeParams, rng: random.Random, emit) -> None:
-    for m in range(1, params.n + 1):
-        for i, row in design2.piggyback_sources(params, m):
-            if row == m:
-                raise DataError(f"sum p_{m} contains a cell of its own row")
-    seen = {}
-    for i in range(1, params.s + 1):
-        for j in range(1, params.n + 1):
-            tgt = design2.piggyback_target(params, i, j)
-            seen.setdefault((i, j), tgt)
-    if len(seen) != params.s * params.n:
-        raise DataError("piggyback placement is not a function of the source cell")
-    emit("piggyback placement sound, no self-row contributions")
-
-    report = analysis.gamma_sim(params, seed=rng.randrange(2**30))
-    want = params.s + params.s**2
-    if any(b != want for b in report.per_node_bandwidth):
-        raise DataError(f"single-node bandwidth differs from s+s^2 = {want}")
-    emit(f"every node repairs exactly with bandwidth s+s^2 = {want}")
-
     data = [rng.randrange(params.fld.q) for _ in range(params.data_symbols)]
-    grid = design2.encode_stripe(params, data)
+    grid = stripe.encode_stripe(params, data)
     expected = grid.cells.tolist()
-    r = params.r
-    checked = 0
-    for m in range(1, r + 1):
-        all_patterns = list(itertools.combinations(range(1, params.n + 1), m))
-        if len(all_patterns) > 200:
-            all_patterns = rng.sample(all_patterns, 200)
-        for pattern in all_patterns:
-            rec = design2.recover_failures(
-                params, pattern, grid_reader(grid, failed=set(pattern))
-            )
-            for f, syms in rec.items():
-                if syms != expected[f - 1]:
-                    raise DataError(f"recovery of {pattern} mismatched node {f}")
-            checked += 1
-    emit(f"multi-failure recovery exact on {checked} patterns up to r={r}")
-
-    if params.k > (params.s - 1) * (r + 1) + 1:
-        patterns = list(itertools.combinations(range(1, params.n + 1), r + 1))
-        if len(patterns) > 200:
-            patterns = rng.sample(patterns, 200)
+    nodes = range(1, n + 1)
+    for m in range(1, analysis.fault_tolerance(params) + 1):
+        if comb(n, m) <= 200:
+            patterns = list(itertools.combinations(nodes, m))
+        else:
+            patterns = set()
+            while len(patterns) < 200:
+                patterns.add(tuple(sorted(rng.sample(nodes, m))))
         for pattern in patterns:
-            rec = design2.recover_failures(
-                params, pattern, grid_reader(grid, failed=set(pattern))
-            )
+            rec = stripe.recover_nodes(params, pattern, grid_reader(grid, failed=pattern))
             for f, syms in rec.items():
                 if syms != expected[f - 1]:
                     raise DataError(f"recovery of {pattern} mismatched node {f}")
-        emit(f"r+1 = {r + 1} failure recovery exact on {len(patterns)} patterns")
-    else:
-        emit(f"r+1 recovery not guaranteed (k <= (s-1)(r+1)+1), skipped")
-
-
-def cmd_verify(args) -> int:
-    params = _params_from_args(args)
-    rng = random.Random(args.seed)
-    emit = lambda msg: print(f"ok: {msg}")
-    print(f"verifying {params.describe()}")
-    if params.variant is Variant.DESIGN2:
-        _verify_design2(params, rng, emit)
-    else:
-        _verify_design1(params, rng, emit)
+        emit(f"recovery of {m} failed nodes exact on {len(patterns)} patterns")
     print("all checks passed")
     return EXIT_OK
 

@@ -92,11 +92,13 @@ def recover_failures(
 ) -> dict[int, list]:
     """Recover up to r+1 failed nodes; returns {node: its s+1 symbols}.
 
-    Up to r failures decode each codeword column directly. Exactly r+1
-    failures run the sequential sweep: pick the failed node with the
-    largest circular gap of survivors after it (smallest index on ties),
-    pull one of its symbols out of a piggyback sum, decode that column,
-    and repeat for all s columns; needs k > (s-1)(r+1)+1.
+    Up to r failures decode each codeword column directly from the first
+    k survivors; the other survivors are neither read nor checked.
+    Callers that need every survivor checked use ``stripe.recover_nodes``.
+    Exactly r+1 failures run the sequential sweep: pick the failed node
+    with the largest circular gap of survivors after it (smallest index on
+    ties), pull one of its symbols out of a piggyback sum, decode that
+    column, and repeat for all s columns; needs k > (s-1)(r+1)+1.
     """
     _require_design2(params)
     pattern = FailurePattern.from_failed(params, failed)

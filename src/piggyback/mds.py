@@ -197,25 +197,9 @@ class MdsCode:
         for sub in subsets:
             tested += 1
             mat = [self.rows[p - 1] for p in sub]
-            if not _is_invertible(mat, self.fld):
+            if _invert(mat, self.fld) is None:
                 return MdsCheck(False, tuple(sub), tested)
         return MdsCheck(True, None, tested)
-
-
-def _is_invertible(mat: list[list[int]], fld: Field) -> bool:
-    k = len(mat)
-    m = [row[:] for row in mat]
-    for col in range(k):
-        pivot = next((r for r in range(col, k) if m[r][col]), None)
-        if pivot is None:
-            return False
-        m[col], m[pivot] = m[pivot], m[col]
-        pv = fld.inv(m[col][col])
-        for r in range(col + 1, k):
-            if m[r][col]:
-                factor = fld.mul(m[r][col], pv)
-                m[r] = [x ^ fld.mul(factor, y) for x, y in zip(m[r], m[col])]
-    return True
 
 
 def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import design2, stripe
+from . import stripe
 from .errors import (
     DataError,
     InsufficientDataError,
@@ -275,9 +275,9 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
 def recover_shards(in_dir, nodes) -> list[int]:
     """Recover several failed shards at once and rewrite them.
 
-    The k'=0 layout uses its dedicated multi-failure procedure; the other
-    layouts decode the whole stripe from the surviving shards, checking
-    every one of them, and take the failed rows from it.
+    Every node whose shard is absent counts as failed along with the
+    requested ones; ``stripe.recover_nodes`` reads the rest and checks
+    each of them. Only the requested shards are written.
     """
     in_dir = Path(in_dir)
     nodes = sorted(set(nodes))
@@ -288,25 +288,8 @@ def recover_shards(in_dir, nodes) -> list[int]:
         raise InsufficientDataError("no surviving shards to recover from")
     sample = next(iter(shard_set.values()))[0]
     params = sample.params()
-    for node in nodes:
-        if not 1 <= node <= params.n:
-            raise ParameterError(f"node {node} out of [1, {params.n}]")
-
-    if params.variant is Variant.DESIGN2:
-        recovered = design2.recover_failures(params, nodes, ShardReader(shard_set))
-    else:
-        if len(shard_set) < params.k:
-            raise InsufficientDataError(
-                f"recovery needs {params.k} surviving shards, found {len(shard_set)}"
-            )
-        reader = ShardReader(shard_set)
-        rows = {
-            node: [reader(node, c) for c in range(1, params.s + 2)]
-            for node in shard_set
-        }
-        full = stripe.decode_stripe(params, rows)
-        recovered = {node: full[node - 1] for node in nodes}
-
+    absent = [node for node in range(1, params.n + 1) if node not in shard_set]
+    recovered = stripe.recover_nodes(params, nodes + absent, ShardReader(shard_set))
     for node in nodes:
         header = replace(sample, node_index=node)
         write_shard(in_dir, header, _payload_from_row(header, recovered[node]))

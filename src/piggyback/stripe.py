@@ -224,6 +224,39 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     return stripe
 
 
+def recover_nodes(
+    params: CodeParams, failed, read: Callable[[int, int], object]
+) -> dict[int, list]:
+    """Recover several failed nodes at once; returns {node: its s+1 symbols}.
+
+    More than r failures with k' = 0 run design2's r+1 sweep. Every other
+    pattern is one decode: the s+1 cells of every other node are read
+    (failed nodes never are) and handed to ``decode_stripe``, so each
+    survivor is checked against the rebuilt stripe. Fewer than k
+    survivors raise InsufficientDataError.
+    """
+    failed = sorted(set(failed))
+    if not failed:
+        raise ParameterError("no failed nodes given")
+    if not 1 <= failed[0] <= failed[-1] <= params.n:
+        raise ParameterError(f"failed nodes out of [1, {params.n}]: {failed}")
+    if not params.kprime and len(failed) > params.r:
+        # imported here because design2 imports this module; called through
+        # the module attribute, so a wrapper installed on it still runs
+        from . import design2
+
+        return design2.recover_failures(params, failed, read)
+    tracker = ReadTracker(read, failed)
+    cols = range(1, params.s + 2)
+    rows = {
+        node: [tracker.fetch(node, c) for c in cols]
+        for node in range(1, params.n + 1)
+        if node not in failed
+    }
+    full = decode_stripe(params, rows)
+    return {node: full[node - 1] for node in failed}
+
+
 def decode_from_k(params: CodeParams, rows: Mapping[int, object]) -> list:
     """Recover all s*k + k' data symbols from any k surviving rows.
 

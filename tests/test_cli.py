@@ -7,7 +7,7 @@ import sys
 
 import pytest
 
-from piggyback import analysis
+from piggyback import CodeParams, analysis
 from piggyback.cli import main
 from piggyback.shards import ShardHeader
 
@@ -150,14 +150,19 @@ def test_unsupported_pattern_exit_4(tmp_path, capsys):
     assert err["error"] == "unsupported_pattern"
 
 
-def test_verify_both_designs(capsys):
-    assert run(["verify", "--design", 1, "-n", 8, "-k", 6, "-s", 1,
-                "--kprime", 3, "-w", 8]) == 0
+@pytest.mark.parametrize("params", [
+    CodeParams(8, 6, 1, 3, w=8),
+    CodeParams(10, 6, 2, 6, w=8),
+    CodeParams(7, 5, 2, 0, w=8),
+], ids=lambda p: p.variant.value)
+def test_verify_both_designs(capsys, params):
+    design = 2 if params.kprime == 0 else 1
+    assert run(["verify", "--design", design, "-n", params.n, "-k", params.k,
+                "-s", params.s, "--kprime", params.kprime, "-w", 8]) == 0
     out = capsys.readouterr().out
     assert "all checks passed" in out
-    assert run(["verify", "--design", 2, "-n", 7, "-k", 5, "-s", 2,
-                "-w", 8]) == 0
-    assert "all checks passed" in capsys.readouterr().out
+    for m in range(1, analysis.fault_tolerance(params) + 1):
+        assert out.count(f"ok: recovery of {m} failed nodes exact") == 1
 
 
 def test_analyze_gamma_csv(capsys):

@@ -201,6 +201,40 @@ def test_recover_design1_rejects_corrupt_survivor(tmp_path):
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
 
+def test_recover_design2_rejects_corrupt_survivor(tmp_path):
+    p = CodeParams(n=7, k=5, s=2, kprime=0, w=8)
+    src = write_file(tmp_path, 700, seed=13)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    (out_dir / shards.shard_filename(1)).unlink()
+    path = out_dir / shards.shard_filename(3)
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + 5] ^= 0x21
+    path.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    with pytest.raises(DataError):
+        shards.recover_shards(out_dir, [1])
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
+@pytest.mark.parametrize("params", [
+    dict(n=8, k=6, s=1, kprime=3),
+    dict(n=7, k=5, s=2, kprime=0),
+], ids=["design1", "design2"])
+def test_recover_with_unrequested_shard_missing(tmp_path, params):
+    p = CodeParams(w=8, **params)
+    src = write_file(tmp_path, 700, seed=14)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    target = out_dir / shards.shard_filename(1)
+    original = target.read_bytes()
+    target.unlink()
+    (out_dir / shards.shard_filename(2)).unlink()
+    assert shards.recover_shards(out_dir, [1]) == [1]
+    assert target.read_bytes() == original
+    assert not (out_dir / shards.shard_filename(2)).exists()
+
+
 def test_corrupt_symbol_detected_on_decode(tmp_path):
     # with more than k shards available, a flipped payload byte makes the
     # supplied rows inconsistent with the decoded stripe
