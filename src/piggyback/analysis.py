@@ -298,13 +298,12 @@ def bounds_point(params: CodeParams) -> dict:
         s=params.s,
         kprime=params.kprime,
         overhead=storage_overhead(params),
+        tolerance=fault_tolerance(params),
     )
     if params.variant is Variant.DESIGN2:
         row["gamma_sim"] = gamma_design2_closed(params.k, params.s)
-        row["tolerance"] = fault_tolerance(params)
     else:
         row["gamma_bound"] = gamma_upper_bound(params)
-        row["tolerance"] = params.r
         if params.variant is Variant.DESIGN1_MDS:
             gmin, gmax = gamma_bounds_mds(params)
             row["gamma_min"], row["gamma_max"] = gmin, gmax
@@ -325,23 +324,9 @@ def sweep_mds_vs_oop(
                 make_row(variant="design1_mds", n=k + r, k=k, skip_reason=str(exc))
             )
             continue
-        report = gamma_sim(params)
-        rows.append(
-            make_row(
-                variant=params.variant.value,
-                n=params.n,
-                k=params.k,
-                s=params.s,
-                kprime=params.kprime,
-                gamma_sim=report.gamma_sim,
-                gamma_bound=report.gamma_bound,
-                gamma_min=report.gamma_min,
-                gamma_max=report.gamma_max,
-                gamma_oop=gamma_oop(k, r),
-                overhead=report.storage_overhead,
-                tolerance=params.r,
-            )
-        )
+        row = gamma_point(params)
+        row["gamma_oop"] = gamma_oop(k, r)
+        rows.append(row)
     return rows
 
 

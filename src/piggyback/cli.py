@@ -191,25 +191,17 @@ def cmd_verify(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    if args.mode == "gamma":
-        params = _params_from_args(args)
-        rows = [analysis.gamma_point(params)]
-    elif args.mode == "bounds":
-        params = _params_from_args(args)
-        rows = [analysis.bounds_point(params)]
+    if args.mode in ("gamma", "bounds"):
+        point = analysis.gamma_point if args.mode == "gamma" else analysis.bounds_point
+        rows = [point(_params_from_args(args))]
     elif args.mode == "sweep":
-        lo, hi = args.k_min, args.k_max
-        if hi < lo:
-            print("warning: empty sweep range", file=sys.stderr)
-            rows = []
-        else:
-            rows = analysis.sweep_mds_vs_oop(args.r, lo, hi, s=args.sweep_s, w=args.w)
+        rows = analysis.sweep_mds_vs_oop(
+            args.r, args.k_min, args.k_max, s=args.sweep_s, w=args.w
+        )
     else:  # lrc-compare
-        if args.g_max < args.g_min:
-            print("warning: empty sweep range", file=sys.stderr)
-            rows = []
-        else:
-            rows = analysis.sweep_lrc(args.n, args.g_min, args.g_max, args.tolerance)
+        rows = analysis.sweep_lrc(args.n, args.g_min, args.g_max, args.tolerance)
+    if not rows:  # every sweep point yields a row, skipped or not
+        print("warning: empty sweep range", file=sys.stderr)
     sys.stdout.write(analysis.rows_to_csv(rows))
     return EXIT_OK
 

@@ -23,6 +23,7 @@ from .errors import ParameterError, UnsupportedPatternError
 from .params import CodeParams, ReadTracker, Variant
 # the shared engine, re-exported under the layout's name
 from .stripe import build_map, decode_from_k, encode_stripe, repair_node  # noqa: F401
+from .stripe import _sum_values
 
 
 def _require_design2(params: CodeParams):
@@ -115,7 +116,7 @@ def recover_failures(
             f"{(s - 1) * (r + 1) + 1}, got k={k}"
         )
 
-    sums = build_map(params).sums
+    pb = build_map(params)
     failed_set = set(rows_failed)
     survivors = [row for row in range(1, n + 1) if row not in failed_set]
     tracker = ReadTracker(read, failed_set)
@@ -142,7 +143,7 @@ def recover_failures(
             col = s - ell
             m_target = wrap(params, f_j + col)
             acc = tracker.fetch(m_target, s + 1)
-            for i, row in sums[m_target]:
+            for i, row in pb.sums[m_target]:
                 if (i, row) == (col, f_j):
                     continue
                 if row in failed_set:
@@ -157,13 +158,6 @@ def recover_failures(
                     acc = acc ^ tracker.fetch(row, i)
             cols_full[col] = column_decode(col, extra={f_j: acc})
 
-    out = {}
-    for f in rows_failed:
-        syms = [cols_full[i][f - 1] for i in range(1, s + 1)]
-        p = None
-        for i, row in sums[f]:
-            v = cols_full[i][row - 1]
-            p = v if p is None else p ^ v
-        syms.append(p)
-        out[f] = syms
-    return out
+    cols = cols_full[1:]
+    last = _sum_values(pb, cols, rows_failed)
+    return {f: [col[f - 1] for col in cols] + [last[f]] for f in rows_failed}

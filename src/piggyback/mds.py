@@ -11,6 +11,11 @@ Two generator families are supported:
   ``verify_mds`` before trusting erasure decodes.
 
 Positions are 1-based everywhere: 1..k are data, k+1..n parity.
+
+Erasure decode is the systematic solve of Plank's RS tutorial (SP&E 1997):
+supplied data symbols pass through and only the e erased ones are solved,
+from e parity symbols, by inverting an e x e block, not a k x k matrix. A
+k-subset decodes exactly when that block is invertible (``verify_mds``).
 """
 
 from __future__ import annotations
@@ -18,8 +23,6 @@ from __future__ import annotations
 import functools
 import itertools
 import random
-import threading
-from collections import OrderedDict
 from math import comb
 from typing import Mapping, NamedTuple
 
@@ -38,9 +41,9 @@ class MdsCheck(NamedTuple):
 class MdsCode:
     """Systematic (n, k) erasure code instance.
 
-    ``rows`` is the n x k matrix mapping data to code symbols: identity on
-    top, parity rows below. All symbol arguments may be ints or numpy
-    arrays of the same shape (stripe batches).
+    ``parity`` is the r x k matrix mapping data to the parity symbols at
+    positions k+1..n. All symbol arguments may be ints or numpy arrays of
+    the same shape (stripe batches).
     """
 
     def __init__(self, n: int, k: int, fld: Field, family: str = "guaranteed_rs"):
@@ -62,14 +65,12 @@ class MdsCode:
                     f"guaranteed_rs needs n <= 2^w distinct points, got n={n} w={fld.w}"
                 )
             self.parity = self._rs_parity()
-        self.rows = [
-            [1 if c == j else 0 for c in range(k)] for j in range(k)
-        ] + self.parity
-        # decode matrices for recently seen position sets (bounded LRU);
-        # the instance is otherwise immutable and safe to share
-        self._inv_cache: OrderedDict[tuple[int, ...], list[list[int]]] = OrderedDict()
-        self._inv_cache_max = 2048
-        self._inv_lock = threading.Lock()
+        # decode plans for recently seen position sets (bounded LRU); the
+        # instance is otherwise immutable and safe to share. The cache holds
+        # no reference to self, so a dropped instance is freed at once.
+        self._plan = functools.lru_cache(maxsize=2048)(
+            functools.partial(_solve_plan, self.parity, k, fld)
+        )
 
     def _rs_parity(self) -> list[list[int]]:
         # Lagrange basis through points 0..k-1 evaluated at points k..n-1.
@@ -119,35 +120,34 @@ class MdsCode:
     def decode_data(self, known: Mapping[int, object]) -> list:
         """Recover the k data symbols from >= k (position, symbol) pairs.
 
-        Raises InsufficientDataError with fewer than k positions and
-        DecodeError if the system is singular (possible only for the
-        vandermonde_literal family).
+        Uses the first k positions in sorted order: their data symbols pass
+        through and only the erased ones are solved (see ``_solve_plan``).
+        The syndromes multiply stored parity coefficients, so stripe arrays
+        reuse the product tables of encode. Raises InsufficientDataError
+        with fewer than k positions and DecodeError if the system is
+        singular (possible only for the vandermonde_literal family).
         """
         positions = sorted(known)
-        if len(positions) < self.k:
+        k = self.k
+        if len(positions) < k:
             raise InsufficientDataError(
-                f"need {self.k} positions to decode, got {len(positions)}"
+                f"need {k} positions to decode, got {len(positions)}"
             )
-        if positions and not (1 <= positions[0] and positions[-1] <= self.n):
+        if not (1 <= positions[0] and positions[-1] <= self.n):
             raise ParameterError(f"positions out of [1, {self.n}]: {positions}")
-        use = tuple(positions[: self.k])
-        if use == tuple(range(1, self.k + 1)):
-            return [known[p] for p in use]
-        with self._inv_lock:
-            inv = self._inv_cache.get(use)
-            if inv is not None:
-                self._inv_cache.move_to_end(use)
-        if inv is None:
-            mat = [self.rows[p - 1] for p in use]
-            inv = _invert(mat, self.fld)
-            if inv is None:
-                raise DecodeError(f"singular decode system for positions {use}")
-            with self._inv_lock:
-                self._inv_cache[use] = inv
-                if len(self._inv_cache) > self._inv_cache_max:
-                    self._inv_cache.popitem(last=False)
-        ys = [known[p] for p in use]
-        return [self.fld.dot(row, ys) for row in inv]
+        if positions[k - 1] == k:  # all data positions supplied
+            return [known[p] for p in positions[:k]]
+        use = tuple(positions[:k])
+        plan = self._plan(use)
+        if plan is None:
+            raise DecodeError(f"singular decode system for positions {use}")
+        erased, present, checks, b_rows, inv = plan
+        dot = self.fld.dot
+        ds = [known[c] for c in present]
+        synd = [known[p] ^ dot(row, ds) for p, row in zip(checks, b_rows)]
+        for c, row in zip(erased, inv):  # ascending, so each index is final
+            ds.insert(c - 1, dot(row, synd))
+        return ds
 
     def decode(self, known: Mapping[int, object], verify: bool = True) -> list:
         """Recover the full codeword from >= k (position, symbol) pairs.
@@ -196,10 +196,27 @@ class MdsCode:
         tested = 0
         for sub in subsets:
             tested += 1
-            mat = [self.rows[p - 1] for p in sub]
-            if _invert(mat, self.fld) is None:
+            if _solve_plan(self.parity, self.k, self.fld, sub) is None:
                 return MdsCheck(False, tuple(sub), tested)
         return MdsCheck(True, None, tested)
+
+
+def _solve_plan(parity: list[list[int]], k: int, fld: Field, use: tuple[int, ...]):
+    """How to solve the erased data of the sorted k-subset ``use``.
+
+    A (e x e) and B are the parity rows in ``use`` over the erased and the
+    present data columns. The syndromes s = y - B d of those rows are A
+    times the erased data, so the erased data is A^-1 s. Returns (erased,
+    present, checks, B, A^-1), or None if A is singular.
+    """
+    e = sum(p > k for p in use)
+    present, checks = use[: k - e], use[k - e :]
+    erased = sorted(set(range(1, k + 1)).difference(use))
+    rows = [parity[p - k - 1] for p in checks]
+    inv = _invert([[row[c - 1] for c in erased] for row in rows], fld)
+    if inv is None:
+        return None
+    return erased, present, checks, [[r[c - 1] for c in present] for r in rows], inv
 
 
 def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:
@@ -212,15 +229,15 @@ def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
         pv = fld.inv(aug[col][col])
-        aug[col] = [fld.mul(pv, x) for x in aug[col]]
+        top = aug[col] = [fld.mul(pv, x) if x else 0 for x in aug[col]]
         for r in range(k):
-            if r != col and aug[r][col]:
-                factor = aug[r][col]
-                aug[r] = [x ^ fld.mul(factor, y) for x, y in zip(aug[r], aug[col])]
+            a = aug[r][col]
+            if r != col and a:
+                aug[r] = [x ^ fld.mul(a, y) if y else x for x, y in zip(aug[r], top)]
     return [row[k:] for row in aug]
 
 
 @functools.lru_cache(maxsize=None)
 def mds_code(n: int, k: int, w: int, family: str = "guaranteed_rs") -> MdsCode:
-    """Shared MdsCode instance (decode matrices cached per instance)."""
+    """Shared MdsCode instance (decode plans cached per instance)."""
     return MdsCode(n, k, field(w), family)

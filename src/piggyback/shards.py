@@ -5,7 +5,8 @@ little-endian), zero-padded at the tail, and each stripe is encoded into
 the n x (s+1) array. Shard f holds row f of every stripe: its s+1 symbols
 stored contiguously per stripe, preceded by a fixed 33-byte header. All
 stripes share one read pattern, so repair and recovery run the symbol
-engines once with whole columns as numpy vectors.
+engines once with whole columns as numpy vectors. A shard whose size does
+not match its header is left out of the set, like an absent one.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from .errors import (
     InsufficientDataError,
     ParameterError,
     RepairError,
+    UnsupportedPatternError,
 )
 from .params import CodeParams, RepairReport, Variant
 
@@ -102,6 +104,10 @@ class ShardHeader:
         return self.w // 8
 
     @property
+    def payload_bytes(self) -> int:
+        return self.stripe_count * (self.s + 1) * self.symbol_bytes
+
+    @property
     def dtype(self):
         return np.dtype("<u1") if self.w == 8 else np.dtype("<u2")
 
@@ -142,7 +148,7 @@ def read_shard(path) -> tuple[ShardHeader, bytes]:
     blob = Path(path).read_bytes()
     header = ShardHeader.unpack(blob)
     payload = blob[HEADER_SIZE:]
-    expected = header.stripe_count * (header.s + 1) * header.symbol_bytes
+    expected = header.payload_bytes
     if len(payload) != expected:
         raise DataError(
             f"shard {path}: payload {len(payload)} bytes, expected {expected}"
@@ -150,15 +156,31 @@ def read_shard(path) -> tuple[ShardHeader, bytes]:
     return header, payload
 
 
-def load_shard_set(in_dir) -> dict[int, tuple[ShardHeader, Path]]:
-    """Headers of all shards present, validated as one consistent set."""
+class ShardSet(dict):
+    """Usable shards {node: (header, path)}; ``dropped`` maps the rest to why."""
+
+    def __init__(self):
+        super().__init__()
+        self.dropped: dict[int, str] = {}
+
+    def note(self) -> str:
+        """Suffix naming the shards left out, for a shortfall message."""
+        return "".join(f"; {why}" for why in self.dropped.values())
+
+
+def load_shard_set(in_dir) -> ShardSet:
+    """Headers of all shards present, validated as one consistent set.
+
+    A shard whose size disagrees with its header is left out (``dropped``).
+    """
     in_dir = Path(in_dir)
-    found: dict[int, tuple[ShardHeader, Path]] = {}
+    found = ShardSet()
     reference = None
     for path in sorted(in_dir.glob("shard_*.pgb")):
         # unbuffered, so only the header is read, not a buffer's worth
         with open(path, "rb", buffering=0) as fh:
             header = ShardHeader.unpack(fh.read(HEADER_SIZE))
+            size = os.fstat(fh.fileno()).st_size
         if reference is None:
             reference = header
         elif not header.same_set(reference):
@@ -166,11 +188,16 @@ def load_shard_set(in_dir) -> dict[int, tuple[ShardHeader, Path]]:
                 f"inconsistent shard set: {path.name} disagrees with "
                 f"{shard_filename(reference.node_index)}"
             )
-        if header.node_index in found:
-            raise DataError(f"duplicate shard for node {header.node_index}")
-        found[header.node_index] = (header, path)
+        node = header.node_index
+        if node in found or node in found.dropped:
+            raise DataError(f"duplicate shard for node {node}")
+        expected = HEADER_SIZE + header.payload_bytes
+        if size == expected:
+            found[node] = (header, path)
+        else:
+            found.dropped[node] = f"{path.name} left out: {size} B, expected {expected}"
     if not found:
-        raise DataError(f"no shards found in {in_dir}")
+        raise DataError(f"no shards found in {in_dir}{found.note()}")
     return found
 
 
@@ -226,7 +253,7 @@ def decode_file(in_dir, out_path) -> int:
     params = header.params()
     if len(shard_set) < params.k:
         raise InsufficientDataError(
-            f"decode needs {params.k} shards, found {len(shard_set)}"
+            f"decode needs {params.k} shards, found {len(shard_set)}{shard_set.note()}"
         )
     rows = {
         node: list(_node_columns(hdr, path))
@@ -242,13 +269,15 @@ def decode_file(in_dir, out_path) -> int:
 class ShardReader:
     """Reader over a shard directory, loading one shard per node lazily."""
 
-    def __init__(self, shard_set: dict[int, tuple[ShardHeader, Path]]):
+    def __init__(self, shard_set: ShardSet):
         self._set = shard_set
         self._columns: dict[int, np.ndarray] = {}
 
     def __call__(self, node: int, col: int):
         if node not in self._set:
-            raise RepairError(f"shard for node {node} is not available")
+            raise RepairError(
+                f"shard for node {node} is not available{self._set.note()}"
+            )
         if node not in self._columns:
             header, path = self._set[node]
             self._columns[node] = _node_columns(header, path)
@@ -275,9 +304,9 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
 def recover_shards(in_dir, nodes) -> list[int]:
     """Recover several failed shards at once and rewrite them.
 
-    Every node whose shard is absent counts as failed along with the
-    requested ones; ``stripe.recover_nodes`` reads the rest and checks
-    each of them. Only the requested shards are written.
+    Every node whose shard is absent or left out counts as failed along
+    with the requested ones; ``stripe.recover_nodes`` reads the rest and
+    checks each of them. Only the requested shards are written.
     """
     in_dir = Path(in_dir)
     nodes = sorted(set(nodes))
@@ -289,7 +318,10 @@ def recover_shards(in_dir, nodes) -> list[int]:
     sample = next(iter(shard_set.values()))[0]
     params = sample.params()
     absent = [node for node in range(1, params.n + 1) if node not in shard_set]
-    recovered = stripe.recover_nodes(params, nodes + absent, ShardReader(shard_set))
+    try:
+        recovered = stripe.recover_nodes(params, nodes + absent, ShardReader(shard_set))
+    except (InsufficientDataError, UnsupportedPatternError) as exc:
+        raise type(exc)(f"{exc}{shard_set.note()}") from exc
     for node in nodes:
         header = replace(sample, node_index=node)
         write_shard(in_dir, header, _payload_from_row(header, recovered[node]))

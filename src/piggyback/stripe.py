@@ -71,12 +71,12 @@ def build_map(params: CodeParams) -> PiggybackMap:
     )
 
 
-def _sum_values(pb: PiggybackMap, cols: list) -> dict:
-    """Value of every piggyback sum over full columns, keyed by its row."""
+def _sum_values(pb: PiggybackMap, cols: list, rows=None) -> dict:
+    """Value of each piggyback sum (all, or those of ``rows``), keyed by row."""
     out = {}
-    for row, sources in pb.sums.items():
+    for row in pb.sums if rows is None else rows:
         acc = None
-        for ci, cj in sources:
+        for ci, cj in pb.sums[row]:
             v = cols[ci - 1][cj - 1]
             acc = v if acc is None else acc ^ v
         out[row] = acc
@@ -111,32 +111,6 @@ def encode_stripe(params: CodeParams, data) -> SymbolGrid:
     return grid_from_rows(params, _stripe_rows(params, cols, last_cw, sums))
 
 
-def _last_column_data(params: CodeParams, f: int, tracker: ReadTracker) -> list:
-    """The k' data symbols of column s+1, read without touching row f.
-
-    Rows 1..k'+1 of column s+1 carry no piggyback sum. Unless f is one of
-    rows 1..k', they are the systematic rows themselves; otherwise the
-    first parity row replaces the lost one and b_f is solved from it.
-    """
-    kp, last_col = params.kprime, params.s + 1
-    mds_b = params.mds_last
-    if f > kp:
-        return [tracker.fetch(row, last_col) for row in range(1, kp + 1)]
-    known = {
-        row: tracker.fetch(row, last_col) for row in range(1, kp + 2) if row != f
-    }
-    q1 = mds_b.parity[0]
-    if q1[f - 1] == 0:
-        return mds_b.decode_data(known)
-    acc = known[kp + 1]
-    for j in range(1, kp + 1):
-        if j != f:
-            acc = acc ^ params.fld.mul(q1[j - 1], known[j])
-    b = [known[j] if j != f else None for j in range(1, kp + 1)]
-    b[f - 1] = params.fld.div(acc, q1[f - 1])
-    return b
-
-
 def repair_node(
     params: CodeParams, f: int, read: Callable[[int, int], object]
 ) -> tuple[list, RepairReport]:
@@ -146,9 +120,9 @@ def repair_node(
     deduplicated and reported, and row f is never read. Each lost cell
     (i, f) is peeled out of the sum that contains it: the stored sum
     minus its other contributors, and, for k' > 0, minus the (n, k')
-    parity under it, which needs the k' last-column data symbols first.
-    Bandwidth is k' plus the sizes of the s sums containing row f's
-    cells, plus the size of the sum stored in row f itself.
+    parity under it, decoded first from the unsummed rows 1..k'+1 (the
+    first k' other than f). Bandwidth is k' plus the sizes of the s sums
+    containing row f's cells, plus the size of the sum stored in row f.
     """
     if not 1 <= f <= params.n:
         raise ParameterError(f"node {f} out of [1, {params.n}]")
@@ -158,7 +132,8 @@ def repair_node(
     tracker = ReadTracker(read, (f,))
     if kp:
         mds_b = params.mds_last
-        b = _last_column_data(params, f, tracker)
+        plain = [row for row in range(1, kp + 2) if row != f][:kp]
+        b = mds_b.decode_data({row: tracker.fetch(row, last_col) for row in plain})
         last = mds_b.symbol_at(f, b)
     else:
         last = None
@@ -186,15 +161,16 @@ def repair_node(
 def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     """Rebuild the whole stripe from any k rows; returns its n rows.
 
-    ``rows`` maps node index to its s+1 symbols. Each column is decoded
-    from the first k rows, then every supplied symbol is compared with the
-    rebuilt stripe; a disagreement raises DecodeError.
+    ``rows`` maps node index to its s+1 symbols. Columns 1..s are decoded
+    from the first k rows (in node order) and column s+1's (n, k') codeword
+    from the first k'; every other supplied symbol is compared with the
+    rebuilt stripe, and a disagreement raises DecodeError.
     """
     if len(rows) < params.k:
         raise InsufficientDataError(
             f"need {params.k} rows to decode, got {len(rows)}"
         )
-    s = params.s
+    s, kp = params.s, params.kprime
     for node, row in rows.items():
         if not 1 <= node <= params.n:
             raise ParameterError(f"node {node} out of [1, {params.n}]")
@@ -208,7 +184,7 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     ]
     sums = _sum_values(build_map(params), cols)
     last_cw = None
-    if params.kprime:
+    if kp:
         clean = {}
         for node, row in rows.items():
             p = sums.get(node)
@@ -216,9 +192,11 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
         last_cw = params.mds_last.decode(clean, verify=False)
     stripe = _stripe_rows(params, cols, last_cw, sums)
 
-    for node, row in rows.items():
-        full = stripe[node - 1]
-        for c in range(s + 1):
+    # the cells the columns were decoded from agree by construction
+    for idx, node in enumerate(sorted(rows)):
+        first = 0 if idx >= params.k else s if idx >= kp else s + 1
+        full, row = stripe[node - 1], rows[node]
+        for c in range(first, s + 1):
             if not symbols_equal(full[c], row[c]):
                 raise DecodeError(f"supplied row {node} disagrees with decoded stripe")
     return stripe

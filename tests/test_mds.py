@@ -3,6 +3,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 
 from piggyback import (
@@ -10,6 +11,7 @@ from piggyback import (
     InsufficientDataError,
     ParameterError,
     field,
+    mds,
     mds_code,
 )
 from piggyback.mds import MdsCode
@@ -74,6 +76,14 @@ def test_decode_all_erasure_patterns_8_6(family):
     for keep in itertools.combinations(range(1, 9), 6):
         out = inst.decode({p: cw[p - 1] for p in keep})
         assert out == cw, keep
+    # stripe arrays of uint16 symbols, as w=16 shards hold them
+    wide = mds_code(8, 6, 16, family)
+    stripes = np.random.default_rng(3).integers(0, 1 << 16, (6, 64), dtype=np.uint16)
+    cw = wide.encode(list(stripes))
+    for keep in itertools.combinations(range(1, 9), 6):
+        out = wide.decode_data({p: cw[p - 1] for p in keep})
+        assert all(x.dtype == np.uint16 for x in out), keep
+        assert np.array_equal(np.array(out), stripes), keep
 
 
 def test_decode_all_positions_is_identity():
@@ -117,6 +127,36 @@ def test_verify_mds_literal_12_6_fails_with_witness():
     check = mds_code(12, 6, 8, "vandermonde_literal").verify_mds()
     assert not check.passed
     assert check.witness == (1, 3, 4, 7, 9, 12)
+
+
+@pytest.fixture
+def inverted_sizes(monkeypatch):
+    """Sizes of the matrices mds._invert is called on."""
+    sizes = []
+    invert = mds._invert
+
+    def record(mat, fld):
+        sizes.append(len(mat))
+        return invert(mat, fld)
+
+    monkeypatch.setattr(mds, "_invert", record)
+    return sizes
+
+
+def test_decode_inverts_only_the_erased_block(inverted_sizes):
+    rng = random.Random(8)
+    inst = MdsCode(8, 6, field(8))  # fresh, so no plan is cached yet
+    cw = inst.encode([rng.randrange(256) for _ in range(6)])
+    known = {p: cw[p - 1] for p in (1, 2, 4, 5, 6, 7)}
+    assert inst.decode(known) == cw
+    assert inverted_sizes == [1]
+
+
+def test_sampled_verify_inverts_at_most_r_by_r(inverted_sizes):
+    check = MdsCode(40, 32, field(8)).verify_mds(mode="sampled", samples=200)
+    assert check.passed and check.tested == 200
+    assert len(inverted_sizes) == 200
+    assert max(inverted_sizes) <= 8
 
 
 def test_literal_singular_decode_names_positions():

@@ -6,7 +6,15 @@ from concurrent.futures import ThreadPoolExecutor
 
 import pytest
 
-from piggyback import CodeParams, DataError, RepairError, design1, design2, shards
+from piggyback import (
+    CodeParams,
+    DataError,
+    InsufficientDataError,
+    RepairError,
+    design1,
+    design2,
+    shards,
+)
 from piggyback.shards import HEADER_SIZE, ShardHeader
 
 
@@ -237,17 +245,19 @@ def test_recover_with_unrequested_shard_missing(tmp_path, params):
 
 def test_corrupt_symbol_detected_on_decode(tmp_path):
     # with more than k shards available, a flipped payload byte makes the
-    # supplied rows inconsistent with the decoded stripe
+    # supplied rows inconsistent with the decoded stripe: shard 7 is a
+    # redundant row, shard 2 one of the rows the stripe is decoded from
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 900, seed=11)
-    out_dir = tmp_path / "shards"
-    shards.encode_file(p, src, out_dir)
-    path = out_dir / shards.shard_filename(7)
-    blob = bytearray(path.read_bytes())
-    blob[40] ^= 0x5A  # inside the payload
-    path.write_bytes(bytes(blob))
-    with pytest.raises(DataError):
-        shards.decode_file(out_dir, tmp_path / "out.bin")
+    for node in (7, 2):
+        out_dir = tmp_path / f"shards{node}"
+        shards.encode_file(p, src, out_dir)
+        path = out_dir / shards.shard_filename(node)
+        blob = bytearray(path.read_bytes())
+        blob[40] ^= 0x5A  # inside the payload
+        path.write_bytes(bytes(blob))
+        with pytest.raises(DataError):
+            shards.decode_file(out_dir, tmp_path / "out.bin")
 
 
 def test_inconsistent_set_detected(tmp_path):
@@ -282,6 +292,48 @@ def test_truncated_payload_detected(tmp_path):
     path.write_bytes(path.read_bytes()[:-1])
     with pytest.raises(DataError, match="payload"):
         shards.read_shard(path)
+
+
+def test_truncated_survivor_is_left_out(tmp_path):
+    # shard 1 lost and shard 3 one byte short: the six others are exactly
+    # k, so recovery and decode still succeed without shard 3
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 1000, seed=14)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    first = out_dir / shards.shard_filename(1)
+    original = first.read_bytes()
+    first.unlink()
+    third = out_dir / shards.shard_filename(3)
+    third.write_bytes(third.read_bytes()[:-1])
+    shard_set = shards.load_shard_set(out_dir)
+    assert sorted(shard_set) == [2, 4, 5, 6, 7, 8]
+    assert list(shard_set.dropped) == [3]
+    assert shards.recover_shards(out_dir, [1]) == [1]
+    assert first.read_bytes() == original
+    first.unlink()
+    shards.decode_file(out_dir, tmp_path / "out.bin")
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+
+
+def test_shortfall_names_left_out_shard(tmp_path):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 1000, seed=15)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    (out_dir / shards.shard_filename(1)).unlink()
+    third = out_dir / shards.shard_filename(3)
+    third.write_bytes(third.read_bytes() + b"\x00")
+    with pytest.raises(RepairError, match="shard_0003.pgb left out"):
+        shards.repair_shard(out_dir, 1)  # node 1's repair reads row 3
+    (out_dir / shards.shard_filename(2)).unlink()
+    with pytest.raises(InsufficientDataError, match="shard_0003.pgb left out"):
+        shards.decode_file(out_dir, tmp_path / "out.bin")
+    with pytest.raises(InsufficientDataError, match="shard_0003.pgb left out"):
+        shards.recover_shards(out_dir, [1])
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        shards.shard_filename(f) for f in range(3, 9)
+    ]
 
 
 def test_shard_reader_missing_node(tmp_path):
