@@ -102,11 +102,7 @@ def storage_overhead(params: CodeParams) -> Fraction:
 def fault_tolerance(params: CodeParams) -> int:
     """Guaranteed simultaneous failures: r for the design1 layouts, r+1
     for the k'=0 layout whenever k > (s-1)(r+1)+1 (else r)."""
-    if params.variant is Variant.DESIGN2:
-        if params.k > (params.s - 1) * (params.r + 1) + 1:
-            return params.r + 1
-        return params.r
-    return params.r
+    return params.r + 1 if stripe.r_plus_1_guaranteed(params) else params.r
 
 
 def gamma_sim(params: CodeParams, seed: int = 0) -> RatioReport:

@@ -9,9 +9,10 @@ Any single node repairs with exactly s + s^2 reads. Up to r = n-k
 simultaneous failures decode column by column; r+1 failures are
 recoverable by a sequential sweep whenever k > (s-1)(r+1)+1.
 
-This module holds the placement rule and the multi-failure recovery;
-encode, repair and decode are the shared engine of ``piggyback.stripe``,
-re-exported here.
+This module holds the placement rule, the failure pattern whose widest
+gap starts the sweep, and ``recover_failures``, whose up-to-r path reads
+only k survivors. Encode, repair, decode and the sweep itself are the
+shared engine of ``piggyback.stripe``, re-exported here.
 """
 
 from __future__ import annotations
@@ -19,11 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import ParameterError, UnsupportedPatternError
+from .errors import ParameterError
 from .params import CodeParams, ReadTracker, Variant
 # the shared engine, re-exported under the layout's name
 from .stripe import build_map, decode_from_k, encode_stripe, repair_node  # noqa: F401
-from .stripe import _sum_values
+from .stripe import _sum_values, recover_nodes
 
 
 def _require_design2(params: CodeParams):
@@ -94,70 +95,19 @@ def recover_failures(
     """Recover up to r+1 failed nodes; returns {node: its s+1 symbols}.
 
     Up to r failures decode each codeword column directly from the first
-    k survivors; the other survivors are neither read nor checked.
-    Callers that need every survivor checked use ``stripe.recover_nodes``.
-    Exactly r+1 failures run the sequential sweep: pick the failed node
-    with the largest circular gap of survivors after it (smallest index on
-    ties), pull one of its symbols out of a piggyback sum, decode that
-    column, and repeat for all s columns; needs k > (s-1)(r+1)+1.
+    k survivors; the other survivors are neither read nor checked. More
+    failures go to ``stripe.recover_nodes``, which reads and checks every
+    survivor and runs the r+1 sweep of ``stripe.decode_stripe``.
     """
     _require_design2(params)
-    pattern = FailurePattern.from_failed(params, failed)
-    rows_failed = pattern.failed
-    m = len(rows_failed)
-    r, k, s, n = params.r, params.k, params.s, params.n
-    if m > r + 1:
-        raise UnsupportedPatternError(
-            f"{m} failures exceed the guaranteed capability r+1={r + 1}"
-        )
-    if m == r + 1 and k <= (s - 1) * (r + 1) + 1:
-        raise UnsupportedPatternError(
-            f"recovering r+1={r + 1} failures needs k > (s-1)(r+1)+1 = "
-            f"{(s - 1) * (r + 1) + 1}, got k={k}"
-        )
-
-    pb = build_map(params)
-    failed_set = set(rows_failed)
-    survivors = [row for row in range(1, n + 1) if row not in failed_set]
-    tracker = ReadTracker(read, failed_set)
-    cols_full: list[list | None] = [None] * (s + 1)  # 1-based columns
-
-    def column_decode(i: int, extra: dict | None = None) -> list:
-        helpers = survivors if extra else survivors[:k]
-        known = {row: tracker.fetch(row, i) for row in helpers}
-        if extra:
-            known.update(extra)
-        return params.mds_first.decode(known, verify=False)
-
-    if m <= r:
-        for i in range(1, s + 1):
-            cols_full[i] = column_decode(i)
-    else:
-        t_max = max(pattern.gaps)
-        if t_max < s:
-            raise AssertionError(
-                f"max gap {t_max} < s={s} despite k > (s-1)(r+1)+1"
-            )
-        f_j = rows_failed[pattern.gaps.index(t_max)]
-        for ell in range(s):
-            col = s - ell
-            m_target = wrap(params, f_j + col)
-            acc = tracker.fetch(m_target, s + 1)
-            for i, row in pb.sums[m_target]:
-                if (i, row) == (col, f_j):
-                    continue
-                if row in failed_set:
-                    decoded = cols_full[i]
-                    if decoded is None:
-                        raise AssertionError(
-                            f"needed cell (node={row}, column={i}) before "
-                            f"column {i} was decoded"
-                        )
-                    acc = acc ^ decoded[row - 1]
-                else:
-                    acc = acc ^ tracker.fetch(row, i)
-            cols_full[col] = column_decode(col, extra={f_j: acc})
-
-    cols = cols_full[1:]
-    last = _sum_values(pb, cols, rows_failed)
-    return {f: [col[f - 1] for col in cols] + [last[f]] for f in rows_failed}
+    failed = FailurePattern.from_failed(params, failed).failed
+    if len(failed) > params.r:
+        return recover_nodes(params, failed, read)
+    tracker = ReadTracker(read, failed)
+    helpers = [row for row in range(1, params.n + 1) if row not in failed][: params.k]
+    cols = [
+        params.mds_first.decode({row: tracker.fetch(row, i) for row in helpers}, verify=False)
+        for i in range(1, params.s + 1)
+    ]
+    last = _sum_values(build_map(params), cols, failed)
+    return {f: [col[f - 1] for col in cols] + [last[f]] for f in failed}

@@ -31,7 +31,9 @@ PRODUCT_TABLES = 256
 
 def symbols_equal(a, b) -> bool:
     """Value equality for symbols that may be ints or stripe arrays."""
-    return bool(np.all(a == b))
+    if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+        return np.array_equal(a, b)
+    return a == b
 
 
 def carryless_mul(a: int, b: int, poly: int, w: int) -> int:

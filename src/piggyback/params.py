@@ -18,7 +18,7 @@ so stripe-level parallelism is the intended scaling axis.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -155,7 +155,6 @@ class RepairReport:
     node: int
     bandwidth: int
     reads: tuple[tuple[int, int], ...]
-    symbols: list = dc_field(default_factory=list)
 
 
 class ReadTracker:

@@ -247,19 +247,19 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
 
 
 def decode_file(in_dir, out_path) -> int:
-    """Rebuild the original file from any k available shards."""
+    """Rebuild the original file from k shards, or k-1 by the r+1 sweep."""
     shard_set = load_shard_set(in_dir)
     header = next(iter(shard_set.values()))[0]
     params = header.params()
-    if len(shard_set) < params.k:
-        raise InsufficientDataError(
-            f"decode needs {params.k} shards, found {len(shard_set)}{shard_set.note()}"
-        )
-    rows = {
-        node: list(_node_columns(hdr, path))
-        for node, (hdr, path) in shard_set.items()
-    }
-    data = stripe.decode_from_k(params, rows)
+    try:
+        stripe.require_rows(params, len(shard_set))
+        rows = {
+            node: list(_node_columns(hdr, path))
+            for node, (hdr, path) in shard_set.items()
+        }
+        data = stripe.decode_from_k(params, rows)
+    except (InsufficientDataError, UnsupportedPatternError) as exc:
+        raise type(exc)(f"{exc}{shard_set.note()}") from exc
     table = np.stack(data, axis=1).astype(header.dtype, copy=False)
     blob = table.tobytes()[: header.original_length]
     _atomic_write(Path(out_path), blob)

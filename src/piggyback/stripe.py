@@ -8,6 +8,8 @@ s columns is summed is the only thing the layouts disagree on;
 ``build_map`` takes it from ``design1.piggyback_index`` or
 ``design2.piggyback_target``, and every operation below reads it from that
 map. Symbols may be ints or numpy stripe arrays throughout.
+``decode_stripe`` is the one path from surviving rows to the stripe (the
+r+1 sweep included) and checks every supplied symbol it did not consume.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping
 
 from .errors import DecodeError, InsufficientDataError, ParameterError
+from .errors import UnsupportedPatternError
 from .field import symbols_equal
 from .params import CodeParams, ReadTracker, RepairReport, SymbolGrid, grid_from_rows
 
@@ -154,35 +157,83 @@ def repair_node(
     row_syms.append(last)
 
     reads = tracker.reads()
-    report = RepairReport(node=f, bandwidth=len(reads), reads=reads, symbols=row_syms)
+    report = RepairReport(node=f, bandwidth=len(reads), reads=reads)
     return row_syms, report
 
 
-def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
-    """Rebuild the whole stripe from any k rows; returns its n rows.
+def r_plus_1_guaranteed(params: CodeParams) -> bool:
+    """Whether any r+1 failures are recoverable: k' = 0 and k > (s-1)(r+1)+1."""
+    return not params.kprime and params.k > (params.s - 1) * (params.r + 1) + 1
 
-    ``rows`` maps node index to its s+1 symbols. Columns 1..s are decoded
-    from the first k rows (in node order) and column s+1's (n, k') codeword
-    from the first k'; every other supplied symbol is compared with the
-    rebuilt stripe, and a disagreement raises DecodeError.
-    """
-    if len(rows) < params.k:
-        raise InsufficientDataError(
-            f"need {params.k} rows to decode, got {len(rows)}"
+
+def require_rows(params: CodeParams, count: int):
+    """Raise unless ``decode_stripe`` can rebuild the stripe from ``count`` rows."""
+    if count < params.k - 1 or params.kprime and count < params.k:
+        raise InsufficientDataError(f"need {params.k} rows to decode, got {count}")
+    if count < params.k and not r_plus_1_guaranteed(params):
+        raise UnsupportedPatternError(
+            f"recovering r+1={params.r + 1} failures needs "
+            f"k > (s-1)(r+1)+1, got k={params.k} with s={params.s}"
         )
-    s, kp = params.s, params.kprime
+
+
+def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
+    """Rebuild the whole stripe from the supplied rows; returns its n rows.
+
+    ``rows`` maps node index to its s+1 symbols. From k or more rows,
+    columns 1..s are decoded from the first k (in node order) and column
+    s+1's (n, k') codeword from the first k'. From k-1 rows when
+    ``r_plus_1_guaranteed``, the sweep starts at the lost row f with the
+    widest gap of survivors after it: for each column from s down to 1,
+    cell (col, f) is peeled out of its sum, lost contributors coming from
+    columns already decoded, and the column decodes from the k-1 rows and
+    that cell. Every supplied symbol the decode did not consume is
+    compared with the rebuilt stripe; a disagreement raises DecodeError.
+    Too few rows raise what ``require_rows`` raises.
+    """
+    s, k, kp = params.s, params.k, params.kprime
+    require_rows(params, len(rows))
     for node, row in rows.items():
         if not 1 <= node <= params.n:
             raise ParameterError(f"node {node} out of [1, {params.n}]")
         if len(row) != s + 1:
             raise ParameterError(f"row {node} must hold {s + 1} symbols")
+    pb, mds = build_map(params), params.mds_first
+    order = sorted(rows)
+    used_last = set(order[:kp])  # rows whose column s+1 cell was decoded from
+    if len(rows) >= k:
+        cols = [
+            mds.decode({node: row[i] for node, row in rows.items()}, verify=False)
+            for i in range(s)
+        ]
+    else:
+        # imported here for the same reason as in build_map
+        from .design2 import FailurePattern
 
-    mds = params.mds_first
-    cols = [
-        mds.decode({node: row[i] for node, row in rows.items()}, verify=False)
-        for i in range(s)
-    ]
-    sums = _sum_values(build_map(params), cols)
+        lost = [node for node in range(1, params.n + 1) if node not in rows]
+        pattern = FailurePattern.from_failed(params, lost)
+        gap = max(pattern.gaps)
+        if gap < s:
+            raise AssertionError(f"max gap {gap} < s={s} despite k > (s-1)(r+1)+1")
+        f = pattern.failed[pattern.gaps.index(gap)]
+        cols = [None] * s
+        for col in range(s, 0, -1):
+            target = pb.source_to_tau[(col, f)][1]
+            used_last.add(target)
+            acc = rows[target][s]
+            for i, j in pb.sums[target]:
+                if j in rows:
+                    acc = acc ^ rows[j][i - 1]
+                elif (i, j) != (col, f):
+                    if cols[i - 1] is None:
+                        raise AssertionError(
+                            f"cell (node={j}, column={i}) needed before its column"
+                        )
+                    acc = acc ^ cols[i - 1][j - 1]
+            known = {node: row[col - 1] for node, row in rows.items()} | {f: acc}
+            cols[col - 1] = mds.decode(known, verify=False)
+
+    sums = _sum_values(pb, cols)
     last_cw = None
     if kp:
         clean = {}
@@ -193,10 +244,9 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     stripe = _stripe_rows(params, cols, last_cw, sums)
 
     # the cells the columns were decoded from agree by construction
-    for idx, node in enumerate(sorted(rows)):
-        first = 0 if idx >= params.k else s if idx >= kp else s + 1
+    for idx, node in enumerate(order):
         full, row = stripe[node - 1], rows[node]
-        for c in range(first, s + 1):
+        for c in range(0 if idx >= k else s, s if node in used_last else s + 1):
             if not symbols_equal(full[c], row[c]):
                 raise DecodeError(f"supplied row {node} disagrees with decoded stripe")
     return stripe
@@ -207,23 +257,23 @@ def recover_nodes(
 ) -> dict[int, list]:
     """Recover several failed nodes at once; returns {node: its s+1 symbols}.
 
-    More than r failures with k' = 0 run design2's r+1 sweep. Every other
-    pattern is one decode: the s+1 cells of every other node are read
-    (failed nodes never are) and handed to ``decode_stripe``, so each
-    survivor is checked against the rebuilt stripe. Fewer than k
-    survivors raise InsufficientDataError.
+    The s+1 cells of every other node are read (failed nodes never are)
+    and handed to ``decode_stripe``, so each survivor the decode did not
+    consume is checked against the rebuilt stripe. More than r+1 failures
+    with k' = 0 raise UnsupportedPatternError; otherwise too few survivors
+    raise what ``require_rows`` raises, before anything is read.
     """
     failed = sorted(set(failed))
     if not failed:
         raise ParameterError("no failed nodes given")
     if not 1 <= failed[0] <= failed[-1] <= params.n:
         raise ParameterError(f"failed nodes out of [1, {params.n}]: {failed}")
-    if not params.kprime and len(failed) > params.r:
-        # imported here because design2 imports this module; called through
-        # the module attribute, so a wrapper installed on it still runs
-        from . import design2
-
-        return design2.recover_failures(params, failed, read)
+    if not params.kprime and len(failed) > params.r + 1:
+        raise UnsupportedPatternError(
+            f"{len(failed)} failures exceed the guaranteed capability "
+            f"r+1={params.r + 1}"
+        )
+    require_rows(params, params.n - len(failed))
     tracker = ReadTracker(read, failed)
     cols = range(1, params.s + 2)
     rows = {

@@ -9,7 +9,7 @@ import pytest
 
 from piggyback import CodeParams, analysis
 from piggyback.cli import main
-from piggyback.shards import ShardHeader
+from piggyback.shards import HEADER_SIZE, ShardHeader
 
 
 def write_file(tmp_path, size, seed=0):
@@ -47,10 +47,31 @@ def test_encode_recover_decode_design2(tmp_path, capsys):
                 "-w", 8, "--in", src, "--out-dir", out_dir]) == 0
     for node in (2, 4, 6):
         (out_dir / f"shard_000{node}.pgb").unlink()
-    assert run(["recover", "--nodes", "2,4,6", "--in-dir", out_dir]) == 0
     restored = tmp_path / "restored.bin"
+    # r+1 lost: decode needs only k-1 shards (the sweep)
     assert run(["decode", "--in-dir", out_dir, "--out", restored]) == 0
     assert restored.read_bytes() == src.read_bytes()
+    assert run(["recover", "--nodes", "2,4,6", "--in-dir", out_dir]) == 0
+    assert run(["decode", "--in-dir", out_dir, "--out", restored]) == 0
+    assert restored.read_bytes() == src.read_bytes()
+
+
+def test_design2_r_plus_1_corrupt_survivor_exit_3(tmp_path, capsys):
+    src = write_file(tmp_path, 3000, seed=9)
+    out_dir = tmp_path / "shards"
+    assert run(["encode", "--design", 2, "-n", 7, "-k", 5, "-s", 2,
+                "-w", 8, "--in", src, "--out-dir", out_dir]) == 0
+    for node in (2, 4, 6):
+        (out_dir / f"shard_000{node}.pgb").unlink()
+    shard3 = out_dir / "shard_0003.pgb"
+    blob = bytearray(shard3.read_bytes())
+    blob[HEADER_SIZE] ^= 0x21
+    shard3.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    capsys.readouterr()
+    assert run(["recover", "--nodes", "2,4,6", "--in-dir", out_dir]) == 3
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "data"
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
 
 def test_repair_summary_report_omits_reads(tmp_path, capsys):

@@ -256,9 +256,17 @@ class TestDecodeFromK:
             rows = {f: [int(x) for x in grid.cells[f - 1]] for f in keep}
             assert design2.decode_from_k(P750, rows) == data
 
-    def test_insufficient_rows(self):
-        grid = design2.encode_stripe(P750, rand_data(P750, seed=44))
+    def test_r_plus_1_lost_rows(self):
+        # k-1 rows: decode runs the r+1 sweep, k > (s-1)(r+1)+1 = 4
+        data = rand_data(P750, seed=46)
+        grid = design2.encode_stripe(P750, data)
         rows = {f: [int(x) for x in grid.cells[f - 1]] for f in (1, 2, 3, 4)}
+        assert design2.decode_from_k(P750, rows) == data
+
+    def test_insufficient_rows(self):
+        # r+2 rows lost is beyond the sweep
+        grid = design2.encode_stripe(P750, rand_data(P750, seed=44))
+        rows = {f: [int(x) for x in grid.cells[f - 1]] for f in (1, 2, 3)}
         with pytest.raises(InsufficientDataError):
             design2.decode_from_k(P750, rows)
 

@@ -9,6 +9,7 @@ import pytest
 from piggyback import (
     CodeParams,
     DataError,
+    DecodeError,
     InsufficientDataError,
     RepairError,
     design1,
@@ -222,6 +223,27 @@ def test_recover_design2_rejects_corrupt_survivor(tmp_path):
     before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
     with pytest.raises(DataError):
         shards.recover_shards(out_dir, [1])
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
+def test_design2_r_plus_1_lost(tmp_path):
+    # shards 2, 4 and 6 (r+1) gone: decode runs the sweep, and recovery
+    # checks the spare survivor cells the sweep does not consume
+    p = CodeParams(n=7, k=5, s=2, kprime=0, w=8)
+    src = write_file(tmp_path, 700, seed=16)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    for node in (2, 4, 6):
+        (out_dir / shards.shard_filename(node)).unlink()
+    shards.decode_file(out_dir, tmp_path / "out.bin")
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    path = out_dir / shards.shard_filename(3)
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE] ^= 0x21
+    path.write_bytes(bytes(blob))
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    with pytest.raises(DecodeError):
+        shards.recover_shards(out_dir, [2, 4, 6])
     assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
 
 
