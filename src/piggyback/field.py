@@ -5,9 +5,11 @@ uses log/antilog tables built from a primitive element eta, so results are
 value-exact. Scalar operations take plain ints; the second operand of
 ``mul`` may also be a numpy array, which is multiplied elementwise by the
 scalar (used to stream many stripes through the same linear recipe). The
-array product is one gather from the 2^w-entry product table of the
-scalar (Plank, Greenan & Miller, FAST 2013) and keeps the array's dtype,
-so stored uint8/uint16 symbols are never widened.
+array product is a gather from the scalar's product table, indexed by one
+16-bit lane (Plank, Greenan & Miller, FAST 2013): a lane is one symbol at
+w=16 and two adjacent symbols at w=8, so each lookup multiplies two bytes
+at once. The product keeps the array's dtype, so stored uint8/uint16
+symbols are never widened.
 """
 
 from __future__ import annotations
@@ -25,7 +27,8 @@ REDUCTION_POLY = {8: 0x11D, 16: 0x1100B}
 
 DEFAULT_ETA = 2
 
-# Product tables a Field keeps at once (least recently used evicted).
+# Product tables a Field keeps at once (least recently used evicted); each
+# is 2^16 16-bit lanes, 128 KiB at both widths, so at most 32 MiB.
 PRODUCT_TABLES = 256
 
 
@@ -84,8 +87,9 @@ def _exp_table(eta: int, poly: int, w: int) -> np.ndarray:
 class Field:
     """Arithmetic over GF(2^w).
 
-    Scalars use log/antilog tables; stripe arrays use per-coefficient
-    product tables, built on first use and held in a bounded LRU.
+    Scalars use log/antilog tables. Stripe arrays (w=8 or 16 only) use
+    per-coefficient product tables over 16-bit lanes, built on first use
+    and held in a bounded LRU.
 
     Parameters
     ----------
@@ -131,7 +135,6 @@ class Field:
 
         self._exp = exp.tolist() * 2
         self._log = log.tolist()
-        # at most PRODUCT_TABLES * 2^w * w/8 bytes (32 MiB at w=16)
         self.product_table = functools.lru_cache(maxsize=PRODUCT_TABLES)(
             self._build_product_table
         )
@@ -145,24 +148,56 @@ class Field:
         return a ^ b
 
     def _build_product_table(self, a: int) -> np.ndarray:
+        """a times every 16-bit lane: 2^16 read-only '<u2' entries.
+
+        At w=8 a lane is two symbols, table[lo | hi << 8] = a*lo | a*hi << 8.
+        """
         if not 0 <= a < self.q:
             raise ParameterError(f"coefficient {a} outside GF(2^{self.w})")
+        if self.w not in (8, 16):
+            raise ParameterError(f"array multiply needs w=8 or w=16, not {self.w}")
         elems = np.arange(self.q, dtype=np.uint32)
-        table = _mul_array(elems, a, self.poly, self.w).astype(self.dtype)
+        table = _mul_array(elems, a, self.poly, self.w).astype("<u2")
+        if self.w == 8:
+            table = (table[:, None] << 8 | table[None, :]).ravel()
         table.flags.writeable = False
         return table
 
     def mul(self, a: int, b):
         """Multiply scalar a by b, where b is an int or a numpy array.
 
-        An array b gives a new array of b's dtype.
+        An array b gives a new array of b's shape and dtype. An array whose
+        dtype is not the field's must hold integers in [0, 2^w).
         """
         if isinstance(b, np.ndarray):
-            out = self.product_table(a).take(b)
+            syms = b if b.dtype == self.dtype else self._symbols(b)
+            table = self.product_table(a)
+            out = np.empty(b.shape, self.dtype)
+            # "clip" gathers straight into out; a lane is always < 2^16
+            if self.w == 16:
+                table.take(syms, out=out, mode="clip")
+            else:
+                src, flat = np.ascontiguousarray(syms).reshape(-1), out.reshape(-1)
+                even = src.size & ~1
+                table.take(
+                    src[:even].view("<u2"), out=flat[:even].view("<u2"), mode="clip"
+                )
+                if even < src.size:  # the lane (lo=last, hi=0) holds a*last
+                    flat[-1] = table[src[-1]]
             return out if out.dtype == b.dtype else out.astype(b.dtype)
         if a == 0 or b == 0:
             return 0
         return self._exp[self._log[a] + self._log[b]]
+
+    def _symbols(self, b: np.ndarray) -> np.ndarray:
+        """b narrowed to the field's dtype, refusing any non-symbol."""
+        if b.dtype.kind not in "ui" or b.size and not (
+            0 <= b.min() and b.max() <= self.order
+        ):
+            raise ParameterError(
+                f"array of {b.dtype} holds values outside GF(2^{self.w})"
+            )
+        return b.astype(self.dtype)
 
     def inv(self, a: int) -> int:
         if a == 0:

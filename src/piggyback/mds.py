@@ -220,7 +220,12 @@ def _solve_plan(parity: list[list[int]], k: int, fld: Field, use: tuple[int, ...
 
 
 def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:
-    """Gauss-Jordan inverse over the field, or None if singular."""
+    """Gauss-Jordan inverse over the field, or None if singular.
+
+    Row operations index the field's exp/log lists directly: a scalar
+    ``Field.mul`` call per entry costs more than the arithmetic itself.
+    """
+    exp, log, order = fld._exp, fld._log, fld.order
     k = len(mat)
     aug = [row[:] + [1 if i == j else 0 for j in range(k)] for i, row in enumerate(mat)]
     for col in range(k):
@@ -228,12 +233,13 @@ def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:
         if pivot is None:
             return None
         aug[col], aug[pivot] = aug[pivot], aug[col]
-        pv = fld.inv(aug[col][col])
-        top = aug[col] = [fld.mul(pv, x) if x else 0 for x in aug[col]]
+        shift = order - log[aug[col][col]]  # log of the pivot's inverse
+        top = aug[col] = [exp[log[x] + shift] if x else 0 for x in aug[col]]
         for r in range(k):
             a = aug[r][col]
             if r != col and a:
-                aug[r] = [x ^ fld.mul(a, y) if y else x for x, y in zip(aug[r], top)]
+                la = log[a]
+                aug[r] = [x ^ exp[la + log[y]] if y else x for x, y in zip(aug[r], top)]
     return [row[k:] for row in aug]
 
 

@@ -253,8 +253,10 @@ def decode_file(in_dir, out_path) -> int:
     params = header.params()
     try:
         stripe.require_rows(params, len(shard_set))
+        # decode multiplies every column: one transposing copy per shard
+        # beats a strided gather in each multiply
         rows = {
-            node: list(_node_columns(hdr, path))
+            node: list(np.ascontiguousarray(_node_columns(hdr, path)))
             for node, (hdr, path) in shard_set.items()
         }
         data = stripe.decode_from_k(params, rows)
@@ -284,8 +286,27 @@ class ShardReader:
         return self._columns[node][col - 1]
 
 
+def _recover(
+    params: CodeParams, nodes: list[int], shard_set: ShardSet, reader: ShardReader
+) -> dict[int, list]:
+    """``stripe.recover_nodes`` of ``nodes`` and every node absent from the set.
+
+    A shortfall names the shards the set left out.
+    """
+    absent = [node for node in range(1, params.n + 1) if node not in shard_set]
+    try:
+        return stripe.recover_nodes(params, nodes + absent, reader)
+    except (InsufficientDataError, UnsupportedPatternError) as exc:
+        raise type(exc)(f"{exc}{shard_set.note()}") from exc
+
+
 def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
-    """Rebuild shard `node` from the surviving shards and rewrite it."""
+    """Rebuild shard `node` from the surviving shards and rewrite it.
+
+    When a shard of the repair's read set is absent or left out, the node
+    is recovered from every present shard instead, as ``recover_shards``
+    does; the report then lists every cell of those shards.
+    """
     in_dir = Path(in_dir)
     shard_set = load_shard_set(in_dir)
     shard_set.pop(node, None)  # repair must not read the failed shard
@@ -295,7 +316,13 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
     params = sample.params()
     if not 1 <= node <= params.n:
         raise ParameterError(f"node {node} out of [1, {params.n}]")
-    row, report = stripe.repair_node(params, node, ShardReader(shard_set))
+    reader = ShardReader(shard_set)
+    try:
+        row, report = stripe.repair_node(params, node, reader)
+    except RepairError:
+        row = _recover(params, [node], shard_set, reader)[node]
+        reads = tuple((i, c) for i in sorted(shard_set) for c in range(1, params.s + 2))
+        report = RepairReport(node=node, bandwidth=len(reads), reads=reads)
     header = replace(sample, node_index=node)
     write_shard(in_dir, header, _payload_from_row(header, row))
     return header, report
@@ -317,11 +344,7 @@ def recover_shards(in_dir, nodes) -> list[int]:
         raise InsufficientDataError("no surviving shards to recover from")
     sample = next(iter(shard_set.values()))[0]
     params = sample.params()
-    absent = [node for node in range(1, params.n + 1) if node not in shard_set]
-    try:
-        recovered = stripe.recover_nodes(params, nodes + absent, ShardReader(shard_set))
-    except (InsufficientDataError, UnsupportedPatternError) as exc:
-        raise type(exc)(f"{exc}{shard_set.note()}") from exc
+    recovered = _recover(params, nodes, shard_set, ShardReader(shard_set))
     for node in nodes:
         header = replace(sample, node_index=node)
         write_shard(in_dir, header, _payload_from_row(header, recovered[node]))

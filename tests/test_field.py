@@ -142,6 +142,83 @@ def test_vector_mul_w16_native_dtype():
         assert [int(x) for x in out] == [f.mul(a, int(x)) for x in vec]
 
 
+def w8_arrays():
+    """uint8 arrays over every symbol: lengths 0, 1, 2, 257 and a strided view."""
+    for b in range(256):
+        yield np.array([b], dtype=np.uint8)  # the last lane holds one symbol
+        yield np.array([b, 255 - b], dtype=np.uint8)  # b in both lane halves
+    yield np.zeros(0, dtype=np.uint8)
+    yield (np.arange(257) * 7 % 256).astype(np.uint8)
+    # every third element of a longer array: 257 symbols, all 256 values occur
+    yield (np.arange(771) % 256).astype(np.uint8)[::3]
+
+
+def test_lane_mul_w8_matches_carryless_oracle():
+    f = field(8)
+    want = np.array(
+        [[carryless_mul(a, b, f.poly, 8) for b in range(256)] for a in range(256)],
+        dtype=np.uint8,
+    )
+    arrays = list(w8_arrays())
+    assert not arrays[-1].flags.c_contiguous
+    for a in range(256):
+        for vec in arrays:
+            out = f.mul(a, vec)
+            assert out.dtype == np.uint8 and out.shape == vec.shape
+            assert np.array_equal(out, want[a][vec]), (a, vec)
+
+
+def test_lane_mul_w16_strided_view():
+    f = field(16)
+    rng = np.random.default_rng(17)
+    base = rng.integers(0, f.q, 3001, dtype=np.uint16)
+    view = base[1::3]
+    for a in [0, 1, f.order] + [int(x) for x in rng.integers(0, f.q, 10)]:
+        out = f.mul(a, view)
+        assert [int(x) for x in out] == [f.mul(a, int(x)) for x in view]
+
+
+@pytest.mark.parametrize("w,dtype", [
+    (8, np.uint8), (8, np.uint16), (8, np.uint32), (16, np.uint16), (16, np.uint32),
+])
+def test_lane_mul_keeps_dtype_and_never_aliases(w, dtype):
+    f = field(w)
+    vec = np.arange(min(f.q, 256) - 1, -1, -1, dtype=dtype)
+    for a in (0, 1, 3):
+        out = f.mul(a, vec)
+        assert out.dtype == vec.dtype
+        assert not np.shares_memory(out, vec)
+        assert [int(x) for x in out] == [f.mul(a, int(x)) for x in vec]
+
+
+def test_foreign_dtype_out_of_range_raises_not_clipped():
+    f = field(8)
+    vec = np.array([1, 256, 2], dtype=np.uint32)
+    with pytest.raises(ParameterError, match="outside GF"):
+        f.mul(3, vec)
+    with pytest.raises(ParameterError, match="outside GF"):
+        f.mul(3, np.array([-1], dtype=np.int64))
+    with pytest.raises(ParameterError):
+        f.mul(3, np.array([2.0]))
+    assert f.mul(3, vec[::2]).tolist() == [3, 6]
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_product_table_is_one_lane_table(w):
+    f = Field(w)
+    table = f.product_table(7)
+    assert table.dtype == np.dtype("<u2")
+    assert table.shape == (1 << 16,)
+    assert not table.flags.writeable
+    lanes = range(0, 1 << 16, 257)
+    if w == 16:
+        assert [int(table[x]) for x in lanes] == [f.mul(7, x) for x in lanes]
+    else:
+        assert [int(table[x]) for x in lanes] == [
+            f.mul(7, x & 0xFF) | f.mul(7, x >> 8) << 8 for x in lanes
+        ]
+
+
 @pytest.mark.parametrize("w", [8, 16])
 def test_exp_log_tables_match_carryless_reference(w):
     f = Field(w)

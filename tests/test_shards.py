@@ -149,6 +149,22 @@ def test_decode_from_partial_set(tmp_path):
     assert out.read_bytes() == src.read_bytes()
 
 
+@pytest.mark.parametrize("w,size", [(8, 999), (8, 8), (16, 990)])
+def test_decode_odd_stripe_count(tmp_path, w, size):
+    # 111, 1 and 55 stripes: at w=8 the last 16-bit lane of a column holds
+    # one symbol; rows 2 and 5 are lost, so erased data is solved
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=w)
+    src = write_file(tmp_path, size, seed=size)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    assert shards.load_shard_set(out_dir)[1][0].stripe_count % 2 == 1
+    for node in (2, 5):
+        (out_dir / shards.shard_filename(node)).unlink()
+    out = tmp_path / "restored.bin"
+    shards.decode_file(out_dir, out)
+    assert out.read_bytes() == src.read_bytes()
+
+
 def test_repair_rewrites_byte_identical_shard(tmp_path):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 2000, seed=4)
@@ -338,17 +354,36 @@ def test_truncated_survivor_is_left_out(tmp_path):
     assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 
+def test_repair_falls_back_when_read_set_shard_left_out(tmp_path):
+    # node 1's repair reads row 3, which is one byte too long; the six
+    # others are exactly k, so repair recovers node 1 from them instead
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 1000, seed=15)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    first = out_dir / shards.shard_filename(1)
+    original = first.read_bytes()
+    first.unlink()
+    third = out_dir / shards.shard_filename(3)
+    third.write_bytes(third.read_bytes() + b"\x00")
+    hdr, report = shards.repair_shard(out_dir, 1)
+    assert hdr.node_index == 1
+    assert first.read_bytes() == original
+    assert report.reads == tuple((i, c) for i in (2, 4, 5, 6, 7, 8) for c in (1, 2))
+    assert report.bandwidth == 12
+
+
 def test_shortfall_names_left_out_shard(tmp_path):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 1000, seed=15)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
     (out_dir / shards.shard_filename(1)).unlink()
+    (out_dir / shards.shard_filename(2)).unlink()
     third = out_dir / shards.shard_filename(3)
     third.write_bytes(third.read_bytes() + b"\x00")
-    with pytest.raises(RepairError, match="shard_0003.pgb left out"):
+    with pytest.raises(InsufficientDataError, match="shard_0003.pgb left out"):
         shards.repair_shard(out_dir, 1)  # node 1's repair reads row 3
-    (out_dir / shards.shard_filename(2)).unlink()
     with pytest.raises(InsufficientDataError, match="shard_0003.pgb left out"):
         shards.decode_file(out_dir, tmp_path / "out.bin")
     with pytest.raises(InsufficientDataError, match="shard_0003.pgb left out"):
