@@ -11,8 +11,8 @@ A code is an n x (s+1) array: row = node, columns 1..s are codewords of an
   piggyback function.
 
 All node/row/column indices in the public API are 1-based. CodeParams is
-frozen and all stripe operations are reentrant; stripes are independent,
-so stripe-level parallelism is the intended scaling axis.
+frozen and all stripe operations are reentrant. Stripes are independent:
+the shard path (``shards``) runs blocks of stripes on a thread per CPU.
 """
 
 from __future__ import annotations

@@ -1,9 +1,10 @@
-"""Shared instances under concurrent repair/decode traffic."""
+"""Shared instances and the shared block pool under concurrent traffic."""
 
 import random
+import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from piggyback import CodeParams, design1, design2, grid_reader
+from piggyback import CodeParams, design1, design2, grid_reader, shards
 
 
 def test_concurrent_repairs_share_instances():
@@ -39,3 +40,44 @@ def test_concurrent_recoveries_share_decode_cache():
     with ThreadPoolExecutor(max_workers=8) as pool:
         results = list(pool.map(recover_one, patterns * 10))
     assert all(results)
+
+
+def test_concurrent_shard_operations_share_the_block_pool(tmp_path, monkeypatch):
+    # 4 caller threads, each with its own directory of one of two codes,
+    # encode, repair and decode in many blocks through the one shared pool
+    codes = [CodeParams(n=8, k=6, s=1, kprime=3, w=8),
+             CodeParams(n=7, k=5, s=2, kprime=0, w=16)]
+    monkeypatch.setattr(shards, "BLOCK_BYTES", 64)
+    inputs, expected = [], []
+    for i, params in enumerate(codes):
+        src = tmp_path / f"input{i}.bin"
+        src.write_bytes(random.Random(62 + i).randbytes(5000))
+        paths = shards.encode_file(params, src, tmp_path / f"reference{i}")
+        inputs.append(src)
+        expected.append([path.read_bytes() for path in paths])
+
+    def run(caller):
+        params, src, want = codes[caller % 2], inputs[caller % 2], expected[caller % 2]
+        out_dir = tmp_path / f"caller{caller}"
+        for _ in range(3):
+            paths = shards.encode_file(params, src, out_dir)
+            assert [path.read_bytes() for path in paths] == want
+            for node in (1, params.n):
+                paths[node - 1].unlink()
+                shards.repair_shard(out_dir, node)
+                assert paths[node - 1].read_bytes() == want[node - 1]
+            for node in range(1, params.r + 1):
+                paths[node - 1].unlink()
+            decoded = tmp_path / f"decoded{caller}.bin"
+            assert shards.decode_file(out_dir, decoded) == len(src.read_bytes())
+            assert decoded.read_bytes() == src.read_bytes()
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=4) as callers:
+            futures = [callers.submit(run, caller) for caller in range(4)]
+            for future in futures:
+                future.result(timeout=120)
+    finally:
+        sys.setswitchinterval(switch)

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from piggyback import CodeParams, design1, grid_reader
+from piggyback import CodeParams, design1, grid_reader, shards
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -54,3 +54,31 @@ def test_sweep_cycle_clears_the_caches_run_reports(bench, tmp_path):
     counts = run.cache_counts()
     assert set(counts) == {"build_map", "mds_code", "field"}
     assert all(info.currsize == 0 for info in counts.values())
+
+
+def test_tracer_follows_blocks_on_the_pool(bench, tmp_path, monkeypatch):
+    # the shard path packs each block's rows in the pool's threads; every
+    # wrapped call there must pop what it pushed on the tracer's stack
+    tracing = bench["tracing"]
+    params = CodeParams(8, 6, 1, 3, w=8)
+    monkeypatch.setattr(shards, "BLOCK_BYTES", 90)  # 10 stripes per block
+    src = tmp_path / "input.bin"
+    src.write_bytes(bytes(range(256)) * 20)
+    read_bytes = tracing.ReadBytes()
+    tracer = tracing.Tracer(read_bytes)
+    try:
+        tracer.install()
+        tracer.begin_op(0, "encode")
+        shards.encode_file(params, src, tmp_path / "shards")
+        tracer.end_op()
+        tracer.begin_op(1, "decode")
+        shards.decode_file(tmp_path / "shards", tmp_path / "out.bin")
+        tracer.end_op()
+    finally:
+        tracer.uninstall()
+        read_bytes.close()
+    assert tracer.stack == [tracer.root]
+    assert tracer.calls("shards.encode_file") == tracer.calls("shards.decode_file") == 1
+    # 57 blocks of n rows; the tracer's unlocked counters may drop a few
+    assert tracer.calls("shards.pack") > params.n
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()

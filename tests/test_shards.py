@@ -1,8 +1,14 @@
 """Shard file format and whole-file operations."""
 
+import itertools
+import os
 import random
+import shutil
+import subprocess
 import sys
+import time
 from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
 
 import pytest
 
@@ -12,11 +18,14 @@ from piggyback import (
     DecodeError,
     InsufficientDataError,
     RepairError,
+    UnsupportedPatternError,
     design1,
     design2,
     shards,
 )
 from piggyback.shards import HEADER_SIZE, ShardHeader
+
+SRC = str(Path(shards.__file__).resolve().parent.parent)
 
 
 def header(**overrides):
@@ -400,7 +409,7 @@ def test_shard_reader_missing_node(tmp_path):
     shards.encode_file(p, src, out_dir)
     shard_set = shards.load_shard_set(out_dir)
     shard_set.pop(3)
-    reader = shards.ShardReader(shard_set)
+    reader = shards.ShardReader(shard_set, {}, range(0))
     with pytest.raises(RepairError, match="node 3"):
         reader(3, 1)
 
@@ -437,3 +446,184 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
         shards.write_shard(tmp_path, hdr, b"b" * 24)
     assert list(tmp_path.iterdir()) == [path]
     assert path.read_bytes() == hdr.pack() + b"a" * 24
+
+
+# -- blocks ------------------------------------------------------------------
+
+BLOCK_STRIPES = 4  # stripes per block in the multi-block runs below
+
+
+def small_blocks(monkeypatch, p):
+    stripe_bytes = p.data_symbols * (p.w // 8)
+    monkeypatch.setattr(shards, "BLOCK_BYTES", BLOCK_STRIPES * stripe_bytes)
+
+
+def every_output(p, src, out_dir):
+    """Bytes of every shard-path output: the encoded shards, each shard
+    repaired, r and r+1 lost shards recovered, and decodes with them lost
+    (an error's type and message where the pattern is not supported)."""
+    out = {}
+    paths = shards.encode_file(p, src, out_dir)
+    original = {node: path.read_bytes() for node, path in enumerate(paths, 1)}
+    out["encode"] = original
+    for node, path in enumerate(paths, 1):
+        path.unlink()
+        _, report = shards.repair_shard(out_dir, node)
+        out[f"repair {node}"] = (path.read_bytes(), report)
+    for lost in (list(range(1, p.n + 1, 2))[: p.r], list(range(1, p.n + 1, 2))[: p.r + 1]):
+        for node in lost:
+            paths[node - 1].unlink()
+        try:
+            shards.recover_shards(out_dir, lost)
+            out[f"recover {lost}"] = [paths[node - 1].read_bytes() for node in lost]
+        except (DataError, UnsupportedPatternError) as exc:
+            out[f"recover {lost}"] = f"{type(exc).__name__}: {exc}"
+        for node in lost:
+            paths[node - 1].unlink(missing_ok=True)
+        decoded = out_dir.parent / "decoded.bin"
+        try:
+            shards.decode_file(out_dir, decoded)
+            out[f"decode {lost}"] = decoded.read_bytes()
+        except (DataError, UnsupportedPatternError) as exc:
+            out[f"decode {lost}"] = f"{type(exc).__name__}: {exc}"
+        for node in lost:
+            paths[node - 1].write_bytes(original[node])
+    return out
+
+
+@pytest.mark.parametrize("params", [
+    dict(n=8, k=6, s=1, kprime=3),
+    dict(n=11, k=7, s=2, kprime=7),
+    dict(n=7, k=5, s=2, kprime=0),
+], ids=["design1", "design1_mds", "design2"])
+@pytest.mark.parametrize("w", [8, 16])
+@pytest.mark.parametrize("stripes", [
+    0, 1, BLOCK_STRIPES - 1, BLOCK_STRIPES, BLOCK_STRIPES + 1, 3 * BLOCK_STRIPES + 1,
+])
+def test_blocks_match_one_block(tmp_path, monkeypatch, params, w, stripes):
+    # every file but the empty one ends inside its last stripe
+    p = CodeParams(w=w, **params)
+    stripe_bytes = p.data_symbols * (w // 8)
+    src = write_file(tmp_path, max(0, stripes * stripe_bytes - 1), seed=stripes + w)
+    whole = every_output(p, src, tmp_path / "whole")
+    small_blocks(monkeypatch, p)
+    assert len(shards._blocks(shards.load_shard_set(tmp_path / "whole")[1][0])) == max(
+        1, -(-stripes // BLOCK_STRIPES)
+    )
+    assert every_output(p, src, tmp_path / "blocks") == whole
+    assert whole[f"decode {list(range(1, p.n + 1, 2))[: p.r]}"] == src.read_bytes()
+
+
+def flip_in_last_block(path, p):
+    """Flip one payload byte of the last block's first stripe."""
+    hdr, _ = shards.read_shard(path)
+    first = (hdr.stripe_count - 1) // BLOCK_STRIPES * BLOCK_STRIPES
+    assert first > 0
+    blob = bytearray(path.read_bytes())
+    blob[HEADER_SIZE + first * hdr.row_bytes] ^= 0x21
+    path.write_bytes(bytes(blob))
+
+
+def test_corruption_in_last_block_writes_nothing(tmp_path, monkeypatch):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    small_blocks(monkeypatch, p)
+    src = write_file(tmp_path, 3 * BLOCK_STRIPES * 9 + 5, seed=17)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    flip_in_last_block(out_dir / shards.shard_filename(3), p)
+    out = tmp_path / "out.bin"
+    with pytest.raises(DecodeError):
+        shards.decode_file(out_dir, out)
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["input.bin", "shards"]
+    (out_dir / shards.shard_filename(1)).unlink()
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+    with pytest.raises(DecodeError):
+        shards.recover_shards(out_dir, [1])
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
+def test_failed_block_cancels_queued_and_waits_for_running(tmp_path, monkeypatch):
+    # the first block fails at once while the others take a while: decode
+    # raises only after every block that started has finished, and the
+    # blocks still queued never start
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 20 * BLOCK_STRIPES * 9, seed=19)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    small_blocks(monkeypatch, p)
+    calls, finished = itertools.count(), []
+    decode = shards.stripe.decode_from_k
+
+    def slow_decode(params, rows):
+        if next(calls) == 0:
+            raise DecodeError("first block")
+        time.sleep(0.05)
+        finished.append(1)
+        return decode(params, rows)
+
+    monkeypatch.setattr(shards.stripe, "decode_from_k", slow_decode)
+    with pytest.raises(DecodeError, match="first block"):
+        shards.decode_file(out_dir, tmp_path / "out.bin")
+    started = next(calls)
+    assert len(finished) == started - 1 and started < 20
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["input.bin", "shards"]
+
+
+def test_blocked_repair_falls_back_when_read_set_shard_left_out(tmp_path, monkeypatch):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=16)
+    small_blocks(monkeypatch, p)
+    src = write_file(tmp_path, 5 * BLOCK_STRIPES * 18 + 7, seed=18)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    first = out_dir / shards.shard_filename(1)
+    original = first.read_bytes()
+    first.unlink()
+    third = out_dir / shards.shard_filename(3)
+    third.write_bytes(third.read_bytes() + b"\x00")
+    hdr, report = shards.repair_shard(out_dir, 1)
+    assert first.read_bytes() == original
+    assert report.bandwidth == 12
+    assert sorted(path.name for path in out_dir.iterdir()) == [
+        shards.shard_filename(f) for f in range(1, 9)
+    ]
+
+
+MEMORY_RUN = """
+import os, resource, sys
+from pathlib import Path
+from piggyback import CodeParams, shards
+
+def maxrss_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+src, out_dir = Path(sys.argv[1]), Path(sys.argv[2])
+before = maxrss_mb()
+shards.encode_file(CodeParams(14, 10, 2, 10, w=16), src, out_dir)
+for node in (1, 2, 3):
+    (out_dir / shards.shard_filename(node)).unlink()
+shards.decode_file(out_dir, out_dir / "decoded.bin")
+assert (out_dir / "decoded.bin").stat().st_size == src.stat().st_size
+print(maxrss_mb() - before)
+"""
+
+
+def test_memory_does_not_grow_with_file_size(tmp_path):
+    # peak RSS growth of an encode and a 3-lost decode, each in a fresh
+    # interpreter: a 64 MiB file may cost at most 10 % more than 8 MiB
+    growth = {}
+    for mib in (8, 64):
+        src = tmp_path / f"in{mib}.bin"
+        rng = random.Random(mib)
+        with open(src, "wb") as fh:
+            for _ in range(mib):
+                fh.write(rng.randbytes(1 << 20))
+        done = subprocess.run(
+            [sys.executable, "-c", MEMORY_RUN, str(src), str(tmp_path / f"out{mib}")],
+            capture_output=True, text=True, timeout=300,
+            env=os.environ | {"PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")},
+        )
+        assert done.returncode == 0, done.stderr
+        growth[mib] = float(done.stdout)
+        shutil.rmtree(tmp_path / f"out{mib}")
+        src.unlink()
+    assert growth[64] <= 1.1 * growth[8], growth
