@@ -106,7 +106,7 @@ def recover_failures(
     tracker = ReadTracker(read, failed)
     helpers = [row for row in range(1, params.n + 1) if row not in failed][: params.k]
     cols = [
-        params.mds_first.decode({row: tracker.fetch(row, i) for row in helpers}, verify=False)
+        params.mds_first.decode({row: tracker.fetch(row, i) for row in helpers})
         for i in range(1, params.s + 1)
     ]
     last = _sum_values(build_map(params), cols, failed)

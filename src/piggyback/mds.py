@@ -16,6 +16,7 @@ Erasure decode is the systematic solve of Plank's RS tutorial (SP&E 1997):
 supplied data symbols pass through and only the e erased ones are solved,
 from e parity symbols, by inverting an e x e block, not a k x k matrix. A
 k-subset decodes exactly when that block is invertible (``verify_mds``).
+Decode takes exactly k positions; which k, and any check of more, is the caller's.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from math import comb
 from typing import Mapping, NamedTuple
 
 from .errors import DecodeError, InsufficientDataError, ParameterError
-from .field import Field, field, parity_vectors, symbols_equal
+from .field import Field, field, parity_vectors
 
 FAMILIES = ("guaranteed_rs", "vandermonde_literal")
 
@@ -103,12 +104,6 @@ class MdsCode:
             raise ParameterError(f"expected {self.k} data symbols, got {len(data)}")
         return data + [self.fld.dot(row, data) for row in self.parity]
 
-    def parity_symbol(self, j: int, data) -> int:
-        """Parity symbol j (1-based) for the given data."""
-        if not 1 <= j <= self.r:
-            raise ParameterError(f"parity index {j} out of [1, {self.r}]")
-        return self.fld.dot(self.parity[j - 1], data)
-
     def symbol_at(self, pos: int, data):
         """Codeword symbol at position pos (1-based) for the given data."""
         if not 1 <= pos <= self.n:
@@ -118,26 +113,26 @@ class MdsCode:
         return self.fld.dot(self.parity[pos - self.k - 1], data)
 
     def decode_data(self, known: Mapping[int, object]) -> list:
-        """Recover the k data symbols from >= k (position, symbol) pairs.
+        """Recover the k data symbols from exactly k (position, symbol) pairs.
 
-        Uses the first k positions in sorted order: their data symbols pass
-        through and only the erased ones are solved (see ``_solve_plan``).
-        The syndromes multiply stored parity coefficients, so stripe arrays
+        The caller chooses the k positions. Their data symbols pass through
+        and only the erased ones are solved (see ``_solve_plan``). The
+        syndromes multiply stored parity coefficients, so stripe arrays
         reuse the product tables of encode. Raises InsufficientDataError
-        with fewer than k positions and DecodeError if the system is
-        singular (possible only for the vandermonde_literal family).
+        with fewer than k positions, ParameterError with more, and
+        DecodeError if the system is singular (possible only for the
+        vandermonde_literal family).
         """
-        positions = sorted(known)
+        use = tuple(sorted(known))
         k = self.k
-        if len(positions) < k:
-            raise InsufficientDataError(
-                f"need {k} positions to decode, got {len(positions)}"
-            )
-        if not (1 <= positions[0] and positions[-1] <= self.n):
-            raise ParameterError(f"positions out of [1, {self.n}]: {positions}")
-        if positions[k - 1] == k:  # all data positions supplied
-            return [known[p] for p in positions[:k]]
-        use = tuple(positions[:k])
+        if len(use) < k:
+            raise InsufficientDataError(f"need {k} positions to decode, got {len(use)}")
+        if len(use) > k:
+            raise ParameterError(f"decode takes exactly {k} positions, got {len(use)}")
+        if not (1 <= use[0] and use[-1] <= self.n):
+            raise ParameterError(f"positions out of [1, {self.n}]: {list(use)}")
+        if use[-1] == k:  # all data positions supplied
+            return [known[p] for p in use]
         plan = self._plan(use)
         if plan is None:
             raise DecodeError(f"singular decode system for positions {use}")
@@ -149,20 +144,9 @@ class MdsCode:
             ds.insert(c - 1, dot(row, synd))
         return ds
 
-    def decode(self, known: Mapping[int, object], verify: bool = True) -> list:
-        """Recover the full codeword from >= k (position, symbol) pairs.
-
-        Like decode_data, and additionally checks every supplied symbol
-        against the re-encoded codeword when verify is set.
-        """
-        full = self.encode(self.decode_data(known))
-        if verify:
-            for p, v in known.items():
-                if not symbols_equal(full[p - 1], v):
-                    raise DecodeError(
-                        f"supplied symbol at position {p} disagrees with decode"
-                    )
-        return full
+    def decode(self, known: Mapping[int, object]) -> list:
+        """The full codeword from exactly k pairs: ``encode(decode_data(known))``."""
+        return self.encode(self.decode_data(known))
 
     def verify_mds(
         self,

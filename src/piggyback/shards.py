@@ -399,6 +399,8 @@ def _payload_from_row(header: ShardHeader, row) -> bytes:
 
 def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     """Stripe, encode and write all n shards for a file."""
+    if params.family != CodeParams.family:  # the v1 header has no family field
+        raise ParameterError(f"shard format v1 cannot store family {params.family!r}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     with open(in_path, "rb", buffering=0) as src:

@@ -9,7 +9,8 @@ s columns is summed is the only thing the layouts disagree on;
 ``design2.piggyback_target``, and every operation below reads it from that
 map. Symbols may be ints or numpy stripe arrays throughout.
 ``decode_stripe`` is the one path from surviving rows to the stripe (the
-r+1 sweep included) and checks every supplied symbol it did not consume.
+r+1 sweep included). It chooses the exact k cells each MDS decode takes
+and checks every supplied symbol outside them.
 """
 
 from __future__ import annotations
@@ -180,16 +181,16 @@ def require_rows(params: CodeParams, count: int):
 def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     """Rebuild the whole stripe from the supplied rows; returns its n rows.
 
-    ``rows`` maps node index to its s+1 symbols. From k or more rows,
-    columns 1..s are decoded from the first k (in node order) and column
+    ``rows`` maps node index to its s+1 symbols. The basis: from k or more
+    rows, columns 1..s decode from the first k (in node order) and column
     s+1's (n, k') codeword from the first k'. From k-1 rows when
     ``r_plus_1_guaranteed``, the sweep starts at the lost row f with the
     widest gap of survivors after it: for each column from s down to 1,
-    cell (col, f) is peeled out of its sum, lost contributors coming from
-    columns already decoded, and the column decodes from the k-1 rows and
-    that cell. Every supplied symbol the decode did not consume is
-    compared with the rebuilt stripe; a disagreement raises DecodeError.
-    Too few rows raise what ``require_rows`` raises.
+    cell (col, f) is peeled out of its stored sum, lost contributors coming
+    from columns already decoded, and the column decodes from the k-1 rows
+    and that cell. Every supplied symbol outside the basis is compared
+    with the rebuilt stripe; a disagreement raises DecodeError. Too few
+    rows raise what ``require_rows`` raises.
     """
     s, k, kp = params.s, params.k, params.kprime
     require_rows(params, len(rows))
@@ -200,12 +201,10 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
             raise ParameterError(f"row {node} must hold {s + 1} symbols")
     pb, mds = build_map(params), params.mds_first
     order = sorted(rows)
-    used_last = set(order[:kp])  # rows whose column s+1 cell was decoded from
+    basis = order[:k]  # rows columns 1..s decode from: all k-1 in the sweep
+    basis_last = order[:kp]  # rows column s+1 is decoded or peeled from
     if len(rows) >= k:
-        cols = [
-            mds.decode({node: row[i] for node, row in rows.items()}, verify=False)
-            for i in range(s)
-        ]
+        cols = [mds.decode({node: rows[node][i] for node in basis}) for i in range(s)]
     else:
         # imported here for the same reason as in build_map
         from .design2 import FailurePattern
@@ -219,7 +218,7 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
         cols = [None] * s
         for col in range(s, 0, -1):
             target = pb.source_to_tau[(col, f)][1]
-            used_last.add(target)
+            basis_last.append(target)
             acc = rows[target][s]
             for i, j in pb.sums[target]:
                 if j in rows:
@@ -230,23 +229,24 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
                             f"cell (node={j}, column={i}) needed before its column"
                         )
                     acc = acc ^ cols[i - 1][j - 1]
-            known = {node: row[col - 1] for node, row in rows.items()} | {f: acc}
-            cols[col - 1] = mds.decode(known, verify=False)
+            known = {node: rows[node][col - 1] for node in basis} | {f: acc}
+            cols[col - 1] = mds.decode(known)
 
     sums = _sum_values(pb, cols)
     last_cw = None
     if kp:
         clean = {}
-        for node, row in rows.items():
+        for node in basis_last:
             p = sums.get(node)
-            clean[node] = row[s] if p is None else row[s] ^ p
-        last_cw = params.mds_last.decode(clean, verify=False)
+            clean[node] = rows[node][s] if p is None else rows[node][s] ^ p
+        last_cw = params.mds_last.decode(clean)
     stripe = _stripe_rows(params, cols, last_cw, sums)
 
-    # the cells the columns were decoded from agree by construction
-    for idx, node in enumerate(order):
+    # the basis agrees with the stripe by construction; check everything else
+    in_basis, in_basis_last = set(basis), set(basis_last)
+    for node in order:
         full, row = stripe[node - 1], rows[node]
-        for c in range(0 if idx >= k else s, s if node in used_last else s + 1):
+        for c in range(s if node in in_basis else 0, s + (node not in in_basis_last)):
             if not symbols_equal(full[c], row[c]):
                 raise DecodeError(f"supplied row {node} disagrees with decoded stripe")
     return stripe
@@ -258,8 +258,8 @@ def recover_nodes(
     """Recover several failed nodes at once; returns {node: its s+1 symbols}.
 
     The s+1 cells of every other node are read (failed nodes never are)
-    and handed to ``decode_stripe``, so each survivor the decode did not
-    consume is checked against the rebuilt stripe. More than r+1 failures
+    and handed to ``decode_stripe``, so every survivor cell outside its
+    basis is checked against the rebuilt stripe. More than r+1 failures
     with k' = 0 raise UnsupportedPatternError; otherwise too few survivors
     raise what ``require_rows`` raises, before anything is read.
     """

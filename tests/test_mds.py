@@ -86,27 +86,21 @@ def test_decode_all_erasure_patterns_8_6(family):
         assert np.array_equal(np.array(out), stripes), keep
 
 
-def test_decode_all_positions_is_identity():
-    rng = random.Random(4)
+def test_decode_rejects_more_than_k_positions():
+    # the caller chooses the basis: k+1 positions are not silently narrowed
     inst = mds_code(9, 5, 16)
-    cw = inst.encode([rng.randrange(1 << 16) for _ in range(5)])
-    assert inst.decode({p: cw[p - 1] for p in range(1, 10)}) == cw
+    cw = inst.encode(list(range(1, 6)))
+    known = {p: cw[p - 1] for p in (1, 3, 5, 6, 8, 9)}
+    with pytest.raises(ParameterError, match="exactly 5"):
+        inst.decode_data(known)
+    with pytest.raises(ParameterError, match="exactly 5"):
+        inst.decode(known)
 
 
 def test_decode_insufficient_positions():
     inst = mds_code(8, 6, 8)
     with pytest.raises(InsufficientDataError):
         inst.decode({1: 0, 2: 0})
-
-
-def test_decode_detects_inconsistent_symbol():
-    rng = random.Random(5)
-    inst = mds_code(8, 6, 8)
-    cw = inst.encode([rng.randrange(256) for _ in range(6)])
-    known = {p: cw[p - 1] for p in range(1, 8)}
-    known[7] ^= 0x01
-    with pytest.raises(DecodeError):
-        inst.decode(known)
 
 
 def test_verify_mds_guaranteed_rs_passes():
@@ -194,17 +188,8 @@ def test_symbol_at_matches_encode():
     cw = inst.encode(data)
     for pos in range(1, 11):
         assert inst.symbol_at(pos, data) == cw[pos - 1]
-    assert inst.parity_symbol(2, data) == cw[7]
     with pytest.raises(ParameterError):
         inst.symbol_at(11, data)
-
-
-def test_decode_uses_any_k_of_more_known():
-    rng = random.Random(7)
-    inst = mds_code(12, 5, 16)
-    cw = inst.encode([rng.randrange(1 << 16) for _ in range(5)])
-    known = {p: cw[p - 1] for p in (2, 4, 7, 8, 10, 11, 12)}
-    assert inst.decode(known) == cw
 
 
 def test_bad_family_and_shape_rejected():

@@ -17,6 +17,7 @@ from piggyback import (
     DataError,
     DecodeError,
     InsufficientDataError,
+    ParameterError,
     RepairError,
     UnsupportedPatternError,
     design1,
@@ -144,6 +145,17 @@ def test_zero_length_file_has_zero_stripes(tmp_path):
     out = tmp_path / "restored.bin"
     shards.decode_file(out_dir, out)
     assert out.read_bytes() == b""
+
+
+def test_encode_rejects_family_the_header_cannot_store(tmp_path):
+    # decode rebuilds guaranteed_rs from the header, so any other family
+    # would come back as wrong bytes
+    p = CodeParams(n=10, k=6, s=1, kprime=6, w=8, family="vandermonde_literal")
+    src = write_file(tmp_path, 1000, seed=9)
+    out_dir = tmp_path / "shards"
+    with pytest.raises(ParameterError, match="vandermonde_literal"):
+        shards.encode_file(p, src, out_dir)
+    assert not out_dir.exists()
 
 
 def test_decode_from_partial_set(tmp_path):
