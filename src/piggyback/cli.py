@@ -9,13 +9,19 @@ recover  rebuild several failed shards at once
 verify   run the invariant suite for a parameter tuple
 analyze  closed-form ratios, bounds and comparison sweeps as CSV
 
-Exit codes: 0 ok, 2 parameter error, 3 data error, 4 unsupported failure
-pattern. Errors are printed to stderr as one-line JSON objects.
+Exit codes: 0 ok, 2 parameter error, 3 data or I/O error, 4 unsupported
+failure pattern. Errors are printed to stderr as one-line JSON objects.
+
+The default repair report lists every symbol read in every stripe. It is
+streamed: one stripe's entries are serialized once and written in chunks,
+so memory stays flat in the file size. The output still grows with it
+(about 15x the file for C(8,6,1,3)); ``--report summary`` omits the list.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import json
 import random
@@ -35,6 +41,9 @@ EXIT_OK = 0
 EXIT_PARAMETER = 2
 EXIT_DATA = 3
 EXIT_UNSUPPORTED = 4
+
+# bytes of the repair report's reads array per stdout write
+REPORT_CHUNK_BYTES = 1 << 20
 
 
 class _Parser(argparse.ArgumentParser):
@@ -95,18 +104,32 @@ def cmd_repair(args) -> int:
         "bandwidth_symbols": report.bandwidth,
         "stripe_count": header.stripe_count,
     }
-    if args.report == "json":
-        out["reads"] = [
-            {"node": a, "column": b}
-            for _ in range(header.stripe_count)
-            for a, b in report.reads
-        ]
-    print(json.dumps(out))
+    if args.report == "summary":
+        print(json.dumps(out))
+        return EXIT_OK
+    # the reads array repeats one stripe's read set stripe_count times:
+    # serialize it once and write a bounded run of copies at a time
+    stripe_reads = ", ".join(
+        json.dumps({"node": a, "column": b}) for a, b in report.reads
+    )
+    count = header.stripe_count
+    per_write = max(1, REPORT_CHUNK_BYTES // (len(stripe_reads) + 2))
+    write = sys.stdout.write
+    write(json.dumps(out)[:-1] + ', "reads": [')
+    for start in range(0, count, per_write):
+        copies = min(per_write, count - start)
+        write((", " if start else "") + ", ".join([stripe_reads] * copies))
+    write("]}\n")
     return EXIT_OK
 
 
 def cmd_recover(args) -> int:
-    nodes = [int(tok) for tok in args.nodes.split(",") if tok]
+    nodes = []
+    for tok in filter(None, args.nodes.split(",")):
+        try:
+            nodes.append(int(tok))
+        except ValueError:
+            raise ParameterError(f"--nodes: {tok!r} is not a node index") from None
     if not nodes:
         raise ParameterError("--nodes needs at least one node index")
     done = shards.recover_shards(args.in_dir, nodes)
@@ -206,7 +229,9 @@ def cmd_analyze(args) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> _Parser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = _Parser(prog="piggyback", description=__doc__,
                      formatter_class=argparse.RawDescriptionHelpFormatter)
     subs = parser.add_subparsers(dest="command", required=True)
@@ -226,7 +251,8 @@ def build_parser() -> _Parser:
     rep.add_argument("--node", type=int, required=True)
     rep.add_argument("--in-dir", required=True, metavar="DIR")
     rep.add_argument("--report", choices=("json", "summary"), default="json",
-                     help="json includes the full per-stripe read list")
+                     help="json (default) streams every symbol read in every "
+                          "stripe; summary gives the counts only")
     rep.set_defaults(func=cmd_repair)
 
     rec = subs.add_parser("recover", help="rebuild several shards")
@@ -286,6 +312,9 @@ def main(argv=None) -> int:
         return EXIT_DATA
     except PiggybackError as exc:
         print(json.dumps({"error": "error", "message": str(exc)}), file=sys.stderr)
+        return EXIT_DATA
+    except OSError as exc:
+        print(json.dumps({"error": "io", "message": str(exc)}), file=sys.stderr)
         return EXIT_DATA
 
 

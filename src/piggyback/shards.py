@@ -402,8 +402,8 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     if params.family != CodeParams.family:  # the v1 header has no family field
         raise ParameterError(f"shard format v1 cannot store family {params.family!r}")
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     with open(in_path, "rb", buffering=0) as src:
+        out_dir.mkdir(parents=True, exist_ok=True)  # a missing input makes no dir
         length = os.fstat(src.fileno()).st_size
         ds = params.data_symbols
         stripe_bytes = ds * (params.w // 8)

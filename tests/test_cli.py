@@ -1,15 +1,21 @@
 """Command-line interface: flows, reports, exit codes, CSV output."""
 
+import io
 import json
+import os
 import random
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from piggyback import CodeParams, analysis
+from piggyback import CodeParams, analysis, cli, shards
 from piggyback.cli import main
 from piggyback.shards import HEADER_SIZE, ShardHeader
+
+SRC = str(Path(shards.__file__).resolve().parent.parent)
+CHILD_ENV = os.environ | {"PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
 
 
 def write_file(tmp_path, size, seed=0):
@@ -235,7 +241,7 @@ def test_console_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "piggyback", "analyze", "bounds", "--design", "2",
          "-n", "7", "-k", "5", "-s", "2", "-w", "8"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith(",".join(analysis.CSV_HEADER[:3]))
@@ -249,3 +255,149 @@ def test_zero_length_roundtrip(tmp_path, capsys):
     restored = tmp_path / "out.bin"
     assert run(["decode", "--in-dir", out_dir, "--out", restored]) == 0
     assert restored.read_bytes() == b""
+
+
+def code_flags(params):
+    design = 2 if params.kprime == 0 else 1
+    return ["--design", design, "-n", params.n, "-k", params.k, "-s", params.s,
+            "--kprime", params.kprime, "-w", params.w]
+
+
+class RecordingStdout(io.StringIO):
+    """A stdout that remembers the size of each write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("params,size,lost", [
+    (CodeParams(8, 6, 1, 3, w=8), 4096, ()),
+    (CodeParams(8, 6, 1, 3, w=8), 0, ()),
+    (CodeParams(8, 6, 1, 3, w=8), 250_000, ()),  # several report writes
+    (CodeParams(10, 6, 2, 6, w=16), 5000, ()),
+    (CodeParams(7, 5, 2, 0, w=8), 3000, ()),
+    (CodeParams(7, 5, 2, 0, w=8), 3000, (3,)),  # read-set shard gone: fallback
+    (CodeParams(8, 6, 1, 3, w=8), 0, (2,)),
+], ids=["design1-w8", "empty", "chunks", "mds-w16", "design2-w8",
+        "fallback", "fallback-empty"])
+def test_streamed_repair_report_matches_one_json_dump(tmp_path, monkeypatch,
+                                                      params, size, lost):
+    src = write_file(tmp_path, size, seed=size)
+    out_dir = tmp_path / "shards"
+    assert run(["encode", *code_flags(params), "--in", src, "--out-dir", out_dir]) == 0
+    for f in (1, *lost):
+        (out_dir / shards.shard_filename(f)).unlink()
+    header, report = shards.repair_shard(out_dir, 1)
+    if lost:
+        assert report.bandwidth == (params.n - 1 - len(lost)) * (params.s + 1)
+    reads = [{"node": a, "column": b}
+             for _ in range(header.stripe_count) for a, b in report.reads]
+    want = json.dumps({"node": 1, "bandwidth_symbols": report.bandwidth,
+                       "stripe_count": header.stripe_count, "reads": reads}) + "\n"
+    (out_dir / shards.shard_filename(1)).unlink()
+    stdout = RecordingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert run(["repair", "--node", 1, "--in-dir", out_dir]) == 0
+    assert stdout.getvalue() == want
+    assert max(stdout.sizes) <= cli.REPORT_CHUNK_BYTES + 2
+    if size == 250_000:
+        assert len(stdout.sizes) > 3
+
+
+# peak RSS of the child alone: ru_maxrss would carry over the peak of the
+# test process that spawned it, across exec
+REPAIR_RSS_RUN = """
+import sys
+from piggyback.cli import main
+code = main(sys.argv[1:])
+with open("/proc/self/status") as fh:
+    print(next(line.split()[1] for line in fh if line.startswith("VmHWM:")),
+          file=sys.stderr)
+sys.exit(code)
+"""
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="needs VmHWM")
+def test_repair_report_memory_is_flat_in_file_size(tmp_path):
+    # the default report of a 4 MiB C(8,6,1,3) repair is ~60 MB of JSON;
+    # streamed, its peak RSS stays near that of --report summary
+    src = tmp_path / "in.bin"
+    src.write_bytes(random.Random(14).randbytes(4 << 20))
+    out_dir = tmp_path / "shards"
+    shards.encode_file(CodeParams(8, 6, 1, 3, w=8), src, out_dir)
+    peak_mb = {}
+    for mode in ("json", "summary"):
+        done = subprocess.run(
+            [sys.executable, "-c", REPAIR_RSS_RUN, "repair", "--node", "1",
+             "--in-dir", str(out_dir), "--report", mode],
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True,
+            timeout=300, env=CHILD_ENV,
+        )
+        assert done.returncode == 0, done.stderr
+        peak_mb[mode] = int(done.stderr.strip().splitlines()[-1]) / 1024
+    assert peak_mb["json"] <= peak_mb["summary"] + 10, peak_mb
+
+
+def test_recover_rejects_bad_node_token(tmp_path, capsys):
+    src = write_file(tmp_path, 100, seed=10)
+    out_dir = tmp_path / "shards"
+    run(["encode", *code_flags(CodeParams(7, 5, 2, 0, w=8)), "--in", src,
+         "--out-dir", out_dir])
+    capsys.readouterr()
+    assert run(["recover", "--nodes", "1,x", "--in-dir", out_dir]) == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1
+    doc = json.loads(err[0])
+    assert doc["error"] == "parameter" and "'x'" in doc["message"]
+
+
+def test_encode_missing_input_is_io_error(tmp_path, capsys):
+    out_dir = tmp_path / "shards"
+    code = run(["encode", *code_flags(CodeParams(8, 6, 1, 3, w=8)),
+                "--in", tmp_path / "missing.bin", "--out-dir", out_dir])
+    assert code == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+    assert not out_dir.exists()
+
+
+def test_decode_to_missing_directory_is_io_error(tmp_path, capsys):
+    src = write_file(tmp_path, 100, seed=11)
+    out_dir = tmp_path / "shards"
+    run(["encode", *code_flags(CodeParams(8, 6, 1, 3, w=8)), "--in", src,
+         "--out-dir", out_dir])
+    capsys.readouterr()
+    dst = tmp_path / "missing" / "dir" / "out.bin"
+    assert run(["decode", "--in-dir", out_dir, "--out", dst]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+    assert not (tmp_path / "missing").exists()
+
+
+def test_one_parser_serves_every_call(tmp_path, capsys):
+    params = CodeParams(8, 6, 1, 3, w=8)
+    src = write_file(tmp_path, 2000, seed=12)
+    out_dir = tmp_path / "shards"
+    with pytest.raises(SystemExit) as exc:
+        run(["encode", "--design", 3])
+    assert exc.value.code == 2
+    assert json.loads(capsys.readouterr().err.strip())["error"] == "parameter"
+    assert run(["encode", *code_flags(params), "--in", src, "--out-dir", out_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["shards"] == 8
+    (out_dir / shards.shard_filename(3)).unlink()
+    assert run(["repair", "--node", 3, "--in-dir", out_dir]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["node"] == 3 and len(doc["reads"]) == 5 * doc["stripe_count"]
+    (out_dir / shards.shard_filename(1)).unlink()
+    restored = tmp_path / "restored.bin"
+    assert run(["decode", "--in-dir", out_dir, "--out", restored]) == 0
+    assert json.loads(capsys.readouterr().out)["bytes"] == 2000
+    assert restored.read_bytes() == src.read_bytes()
+    assert run(["analyze", "gamma", *code_flags(params)]) == 0
+    assert capsys.readouterr().out.split("\n")[0] == ",".join(analysis.CSV_HEADER)
+    assert cli.build_parser() is cli.build_parser()
