@@ -8,7 +8,7 @@ download-6-symbols decode.
 
 import random
 
-from piggyback import CodeParams, analysis, design1, grid_reader
+from piggyback import CodeParams, analysis, grid_reader, stripe
 
 params = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
 print(f"code: {params.describe()}")
@@ -16,18 +16,18 @@ print(f"data symbols per stripe: {params.data_symbols} "
       f"(s*k = {params.s * params.k} in the first columns, "
       f"k' = {params.kprime} in the last)\n")
 
-pb = design1.build_map(params)
+pb = stripe.build_map(params)
 print("piggyback sums (column, row contributors):")
 for tau, sources in pb.contributors.items():
     print(f"  p_{tau} <- {list(sources)}  stored in row {params.kprime + 1 + tau}")
 
 rng = random.Random(7)
 data = [rng.randrange(256) for _ in range(params.data_symbols)]
-grid = design1.encode_stripe(params, data)
+grid = stripe.encode_stripe(params, data)
 
 print("\nrepairing each node in turn:")
 for f in range(1, params.n + 1):
-    row, report = design1.repair_node(params, f, grid_reader(grid, failed={f}))
+    row, report = stripe.repair_node(params, f, grid_reader(grid, failed={f}))
     assert row == grid.cells[f - 1].tolist()
     print(f"  node {f}: bandwidth {report.bandwidth} symbols, reads {list(report.reads)}")
 

@@ -8,7 +8,7 @@ nodes recover everything.
 
 import random
 
-from piggyback import CodeParams, analysis, design1
+from piggyback import CodeParams, analysis, stripe
 
 params = CodeParams(n=20, k=14, s=1, kprime=14, w=8)
 print(f"code: {params.describe()}  (r = {params.r}, MDS)")
@@ -24,11 +24,11 @@ print(f"lower/upper bound: {float(gmin):.6f} / {float(gmax):.6f} "
 # MDS property: decode the full stripe from random 14-node subsets
 rng = random.Random(11)
 data = [rng.randrange(256) for _ in range(params.data_symbols)]
-grid = design1.encode_stripe(params, data)
+grid = stripe.encode_stripe(params, data)
 for _ in range(50):
     keep = rng.sample(range(1, 21), 14)
     rows = {f: [int(x) for x in grid.cells[f - 1]] for f in keep}
-    assert design1.decode_from_k(params, rows) == data
+    assert stripe.decode_from_k(params, rows) == data
 print("decoded the full stripe from 50 random 14-node subsets: OK")
 
 # the best instance count for a target r, by the large-k limit and at finite k

@@ -16,7 +16,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from . import design1, stripe
+from . import stripe
 from .errors import ParameterError
 from .params import CodeParams, Variant, grid_reader
 
@@ -73,7 +73,7 @@ def repair_bandwidth_closed_form(params: CodeParams, f: int) -> int:
         return params.s + params.s**2
     kp = params.kprime
     total = kp + sum(
-        n_tau_closed_form(params, design1.piggyback_index(params, i, f)[0])
+        n_tau_closed_form(params, stripe.piggyback_index(params, i, f)[0])
         for i in range(1, params.s + 1)
     )
     if f >= kp + 2:
@@ -310,10 +310,14 @@ def sweep_mds_vs_oop(
     r: int, k_min: int, k_max: int, s: int | str = "optimal", w: int = 16
 ) -> list[dict]:
     """k'=k layout versus the OOP baseline for k in [k_min, k_max]."""
+    try:
+        s = s if s == "optimal" else int(s)
+    except ValueError:
+        raise ParameterError(f"s must be a count or 'optimal', got {s!r}") from None
     rows = []
     for k in range(k_min, k_max + 1):
         try:
-            s_val = optimal_s(r, k, w=w) if s == "optimal" else int(s)
+            s_val = optimal_s(r, k, w=w) if s == "optimal" else s
             params = CodeParams(n=k + r, k=k, s=s_val, kprime=k, w=w)
         except ParameterError as exc:
             rows.append(

@@ -239,8 +239,11 @@ def _atomic_files(paths: list[Path]):
     tmps = [path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp") for path in paths]
     fds: list[int] = []
     try:
-        for tmp in tmps:
-            fds.append(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+        for tmp, path in zip(tmps, paths):
+            try:
+                fds.append(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
+            except OSError as exc:  # name the file the caller asked for
+                raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         yield fds
         while fds:
             os.close(fds.pop())

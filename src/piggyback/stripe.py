@@ -4,13 +4,16 @@ A stripe is an n x (s+1) array. Columns 1..s are codewords of the (n, k)
 instance. Column s+1 is the (n, k') codeword of the last k' data symbols
 (design1, k' > 0) or nothing at all (design2, k' = 0), XOR the piggyback
 sum its row stores. Where each source cell (column i, row j) of the first
-s columns is summed is the only thing the layouts disagree on;
-``build_map`` takes it from ``design1.piggyback_index`` or
-``design2.piggyback_target``, and every operation below reads it from that
-map. Symbols may be ints or numpy stripe arrays throughout.
-``decode_stripe`` is the one path from surviving rows to the stripe (the
-r+1 sweep included). It chooses the exact k cells each MDS decode takes
-and checks every supplied symbol outside them.
+s columns is summed is the only thing the layouts disagree on: the
+placement rules ``piggyback_index`` (design1) and ``piggyback_target``
+(design2) sit next to ``build_map``, and every operation below reads the
+placement from that map. Symbols may be ints or numpy stripe arrays
+throughout. ``decode_stripe`` is the one path from surviving rows to the
+stripe (the r+1 sweep and its ``FailurePattern`` included). It chooses the
+exact k cells each MDS decode takes and checks every supplied symbol
+outside them. ``design1`` and ``design2`` only describe the layouts and
+re-export these names, because the benchmark in ``perfbench/`` patches
+and calls them there.
 """
 
 from __future__ import annotations
@@ -22,7 +25,8 @@ from typing import Callable, Mapping
 from .errors import DecodeError, InsufficientDataError, ParameterError
 from .errors import UnsupportedPatternError
 from .field import symbols_equal
-from .params import CodeParams, ReadTracker, RepairReport, SymbolGrid, grid_from_rows
+from .params import CodeParams, ReadTracker, RepairReport, SymbolGrid, Variant
+from .params import grid_from_rows
 
 
 @dataclass(frozen=True)
@@ -43,14 +47,65 @@ class PiggybackMap:
     sums: Mapping[int, tuple[tuple[int, int], ...]]
 
 
+def piggyback_index(params: CodeParams, i: int, j: int) -> tuple[int, int]:
+    """The design1 rule: sum index tau and its target row for source cell (i, j).
+
+    i is the column in 1..s, j the row in 1..n. The target row storing
+    p_tau is always k'+1+tau.
+    """
+    if params.variant is Variant.DESIGN2:
+        raise ParameterError("operation needs kprime > 0 (design1 layouts)")
+    if not 1 <= i <= params.s:
+        raise ParameterError(f"column {i} out of [1, {params.s}]")
+    if not 1 <= j <= params.n:
+        raise ParameterError(f"row {j} out of [1, {params.n}]")
+    kp, h, r = params.kprime, params.h, params.r
+    if j <= kp + 1:
+        tau = 1 + ((j - 1) * params.s + i - 1) % (h + r - 1)
+    else:
+        t = i + j - params.k + h if i + j <= params.n else i + j - params.n + 1
+        tau = t - 1
+    return tau, kp + 1 + tau
+
+
+def _require_design2(params: CodeParams):
+    if params.variant is not Variant.DESIGN2:
+        raise ParameterError("operation needs kprime = 0 (design2 layout)")
+
+
+def wrap(params: CodeParams, x: int) -> int:
+    """Normalize a row offset into [1, n] (circular row indexing)."""
+    n = params.n
+    if not -params.s + 1 <= x <= n + params.s:
+        raise ParameterError(f"offset {x} out of [{-params.s + 1}, {n + params.s}]")
+    if x <= 0:
+        return x + n
+    if x > n:
+        return x - n
+    return x
+
+
+def piggyback_target(params: CodeParams, i: int, j: int) -> int:
+    """The design2 rule: row of column s+1 whose sum absorbs source cell (i, j)."""
+    _require_design2(params)
+    if not 1 <= i <= params.s:
+        raise ParameterError(f"column {i} out of [1, {params.s}]")
+    if not 1 <= j <= params.n:
+        raise ParameterError(f"row {j} out of [1, {params.n}]")
+    return i + j if i + j <= params.n else i + j - params.n
+
+
+def piggyback_sources(params: CodeParams, m: int) -> tuple[tuple[int, int], ...]:
+    """Source cells (column i, row) summed into p_m: row = wrap(m - i)."""
+    _require_design2(params)
+    if not 1 <= m <= params.n:
+        raise ParameterError(f"row {m} out of [1, {params.n}]")
+    return tuple((i, wrap(params, m - i)) for i in range(1, params.s + 1))
+
+
 @functools.lru_cache(maxsize=512)
 def build_map(params: CodeParams) -> PiggybackMap:
     """Enumerate all piggyback placements for the given parameters."""
-    # the layout modules re-export this engine, so their placement rules
-    # can only be imported once it is loaded
-    from .design1 import piggyback_index
-    from .design2 import piggyback_target
-
     kp = params.kprime
     offset = kp + 1 if kp else 0  # target row of p_tau is tau + offset
     count = params.h + params.r - 1 if kp else params.n
@@ -178,6 +233,33 @@ def require_rows(params: CodeParams, count: int):
         )
 
 
+@dataclass(frozen=True)
+class FailurePattern:
+    """Sorted failed rows plus the circular gaps between them.
+
+    gaps[i] counts surviving rows strictly between failed[i] and the next
+    failed row (wrapping around after the last). With m = r+1 failures the
+    gaps sum to k-1.
+    """
+
+    failed: tuple[int, ...]
+    gaps: tuple[int, ...]
+
+    @classmethod
+    def from_failed(cls, params: CodeParams, failed) -> "FailurePattern":
+        rows = tuple(sorted(set(failed)))
+        if not rows:
+            raise ParameterError("no failed rows given")
+        if rows[0] < 1 or rows[-1] > params.n:
+            raise ParameterError(f"failed rows out of [1, {params.n}]: {rows}")
+        m = len(rows)
+        gaps = tuple(
+            rows[i + 1] - rows[i] - 1 if i + 1 < m else params.n - rows[-1] + rows[0] - 1
+            for i in range(m)
+        )
+        return cls(rows, gaps)
+
+
 def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     """Rebuild the whole stripe from the supplied rows; returns its n rows.
 
@@ -206,9 +288,6 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     if len(rows) >= k:
         cols = [mds.decode({node: rows[node][i] for node in basis}) for i in range(s)]
     else:
-        # imported here for the same reason as in build_map
-        from .design2 import FailurePattern
-
         lost = [node for node in range(1, params.n + 1) if node not in rows]
         pattern = FailurePattern.from_failed(params, lost)
         gap = max(pattern.gaps)

@@ -228,6 +228,16 @@ def test_analyze_empty_sweep_warns(capsys):
     assert "empty sweep" in captured.err
 
 
+def test_analyze_sweep_bad_s_is_parameter_error(capsys):
+    assert run(["analyze", "sweep", "--r", 8, "--k-min", 40, "--k-max", 41,
+                "--s", "foo"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "parameter"
+    assert "'foo'" in json.loads(err[0])["message"]
+    assert captured.out == ""
+
+
 def test_analyze_lrc_compare_csv(capsys):
     assert run(["analyze", "lrc-compare", "--n", 100, "--g-min", 20,
                 "--g-max", 20, "--tolerance", 8]) == 0
@@ -376,6 +386,9 @@ def test_decode_to_missing_directory_is_io_error(tmp_path, capsys):
     assert run(["decode", "--in-dir", out_dir, "--out", dst]) == 3
     err = capsys.readouterr().err.strip().split("\n")
     assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+    # the message names the file asked for, not the hidden temp file
+    message = json.loads(err[0])["message"]
+    assert "out.bin" in message and ".tmp" not in message
     assert not (tmp_path / "missing").exists()
 
 
