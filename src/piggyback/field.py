@@ -4,12 +4,29 @@ Field elements are integers in [0, 2^w). Addition is XOR; multiplication
 uses log/antilog tables built from a primitive element eta, so results are
 value-exact. Scalar operations take plain ints; the second operand of
 ``mul`` may also be a numpy array, which is multiplied elementwise by the
-scalar (used to stream many stripes through the same linear recipe). The
-array product is a gather from the scalar's product table, indexed by one
-16-bit lane (Plank, Greenan & Miller, FAST 2013): a lane is one symbol at
-w=16 and two adjacent symbols at w=8, so each lookup multiplies two bytes
-at once. The product keeps the array's dtype, so stored uint8/uint16
-symbols are never widened.
+scalar (used to stream many stripes through the same linear recipe).
+
+Arrays (w=8 or 16) are multiplied by table lookup (Plank, Greenan & Miller,
+FAST 2013), with two kinds of table, each built on first use and held in a
+bounded LRU per Field:
+
+* a product table serves ``mul`` and ``dot``, one coefficient at a time:
+  one gather per coefficient, indexed by a 16-bit lane. A lane is one
+  symbol at w=16 and two adjacent symbols at w=8, so each lookup
+  multiplies two bytes at once. 128 KiB each.
+* a packed table serves ``dots``, a matrix of three or more rows: for
+  one input column it packs the products of up to 64/w rows (8 at w=8, 4
+  at w=16) into each 64-bit entry, one entry per byte value. One gather
+  per input byte then gives every row of the group. 2 KiB each at w=8,
+  4 KiB at w=16 (a second 256 entries for the high byte).
+
+Per input column, packed tables gather count*w/8 eight-byte entries and
+product tables m*count*w/16 two-byte lanes, so from m = 3 rows on the
+packed tables gather fewer. With one or two rows ``dots`` stays on the
+product tables, which are then the faster.
+
+Products keep the array's dtype, so stored uint8/uint16 symbols are never
+widened.
 """
 
 from __future__ import annotations
@@ -27,9 +44,13 @@ REDUCTION_POLY = {8: 0x11D, 16: 0x1100B}
 
 DEFAULT_ETA = 2
 
-# Product tables a Field keeps at once (least recently used evicted); each
-# is 2^16 16-bit lanes, 128 KiB at both widths, so at most 32 MiB.
+# Tables a Field keeps at once of each kind (least recently used evicted).
+# A product table (one coefficient, for mul and dot) is 2^16 16-bit lanes,
+# 128 KiB at both widths, so at most 32 MiB. A packed table (one column of
+# up to 64/w rows, for dots) is 256 uint64 entries per symbol byte, 2 KiB
+# at w=8 and 4 KiB at w=16, so at most 4 MiB.
 PRODUCT_TABLES = 256
+PACKED_TABLES = 1024
 
 
 def symbols_equal(a, b) -> bool:
@@ -88,8 +109,9 @@ class Field:
     """Arithmetic over GF(2^w).
 
     Scalars use log/antilog tables. Stripe arrays (w=8 or 16 only) use
-    per-coefficient product tables over 16-bit lanes, built on first use
-    and held in a bounded LRU.
+    per-coefficient product tables over 16-bit lanes (``mul``, ``dot``) or
+    per-column packed tables over bytes (``dots``), built on first use and
+    held in bounded LRUs.
 
     Parameters
     ----------
@@ -138,6 +160,9 @@ class Field:
         self.product_table = functools.lru_cache(maxsize=PRODUCT_TABLES)(
             self._build_product_table
         )
+        self.packed_table = functools.lru_cache(maxsize=PACKED_TABLES)(
+            self._build_packed_table
+        )
 
     def __repr__(self) -> str:
         return f"Field(w={self.w}, poly={self.poly:#x}, eta={self.eta:#x})"
@@ -160,6 +185,26 @@ class Field:
         table = _mul_array(elems, a, self.poly, self.w).astype("<u2")
         if self.w == 8:
             table = (table[:, None] << 8 | table[None, :]).ravel()
+        table.flags.writeable = False
+        return table
+
+    def _build_packed_table(self, column: tuple[int, ...]) -> np.ndarray:
+        """Products of every coefficient in ``column`` with every symbol byte.
+
+        Shape (w/8, 256), read-only '<u8': entry [b, x] holds column[j] *
+        (x << 8b) at bits w*j..w*j+w-1, for up to 64/w coefficients. Products
+        are linear in x over GF(2), so each entry is the XOR of the entries
+        of x's bits, and only those are multiplied out.
+        """
+        for a in column:
+            if not 0 <= a < self.q:
+                raise ParameterError(f"coefficient {a} outside GF(2^{self.w})")
+        table = np.zeros((self.w // 8, 256), "<u8")
+        for b, row in enumerate(table):
+            for i in range(8):
+                bit = 1 << 8 * b + i
+                word = sum(self.mul(a, bit) << self.w * j for j, a in enumerate(column))
+                row[1 << i : 2 << i] = row[: 1 << i] ^ np.uint64(word)
         table.flags.writeable = False
         return table
 
@@ -239,6 +284,47 @@ class Field:
             if c and x:
                 acc ^= exp[log[c] + log[x]]
         return acc
+
+    def dots(self, matrix, symbols) -> list:
+        """The rows of matrix x symbols: ``[dot(row, symbols) for row in matrix]``.
+
+        With three or more rows on stripe arrays, the rows go in groups of
+        64/w. Each byte of each input symbol is one gather from its
+        column's packed table, which yields the products of the whole group
+        as one 64-bit word, and one XOR per column sums them; the words are
+        then read back as (count, 64/w) symbols. One or two rows (see the
+        module docstring) and plain ints go through ``dot`` row by row. On
+        arrays the result is new arrays of the symbols' shape and dtype; no
+        input is modified.
+        """
+        if len(matrix) < 3 or not (len(symbols) and isinstance(symbols[0], np.ndarray)):
+            return [self.dot(row, symbols) for row in matrix]
+        if self.w not in (8, 16):
+            raise ParameterError(f"array multiply needs w=8 or w=16, not {self.w}")
+        shape, dtype = symbols[0].shape, np.result_type(*symbols)
+        size, g = symbols[0].size, 64 // self.w
+        groups = [matrix[i : i + g] for i in range(0, len(matrix), g)]
+        acc = np.zeros((len(groups), size), "<u8")
+        idx, tmp = np.empty(size, np.intp), np.empty(size, "<u8")
+        for c, x in enumerate(symbols):
+            x = (x if x.dtype == self.dtype else self._symbols(x)).reshape(-1)
+            columns = [tuple(row[c] for row in group) for group in groups]
+            for b in range(self.w // 8):
+                if self.w == 8:
+                    np.copyto(idx, x)
+                elif b == 0:
+                    np.bitwise_and(x, 0xFF, out=idx)
+                else:
+                    np.right_shift(x, 8, out=idx)
+                for total, column in zip(acc, columns):
+                    if any(column):
+                        self.packed_table(column)[b].take(idx, out=tmp, mode="clip")
+                        total ^= tmp
+        words = acc.view(f"<u{self.w // 8}").reshape(len(groups), size, g)
+        return [
+            words[i // g, :, i % g].reshape(shape).astype(dtype)
+            for i in range(len(matrix))
+        ]
 
 
 @functools.lru_cache(maxsize=None)

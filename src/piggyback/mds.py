@@ -17,6 +17,13 @@ supplied data symbols pass through and only the e erased ones are solved,
 from e parity symbols, by inverting an e x e block, not a k x k matrix. A
 k-subset decodes exactly when that block is invertible (``verify_mds``).
 Decode takes exactly k positions; which k, and any check of more, is the caller's.
+
+Every linear map with several output rows is one ``Field.dots`` call: the
+r parity rows of ``encode``, and the e syndromes and e erased symbols of
+``decode_data``. On stripe arrays with three or more rows that is one
+gather per input byte for a group of rows, not one per coefficient.
+``symbol_at``, which repair uses for one parity symbol at a time, stays a
+single ``Field.dot``.
 """
 
 from __future__ import annotations
@@ -102,7 +109,7 @@ class MdsCode:
         data = list(data)
         if len(data) != self.k:
             raise ParameterError(f"expected {self.k} data symbols, got {len(data)}")
-        return data + [self.fld.dot(row, data) for row in self.parity]
+        return data + self.fld.dots(self.parity, data)
 
     def symbol_at(self, pos: int, data):
         """Codeword symbol at position pos (1-based) for the given data."""
@@ -116,12 +123,11 @@ class MdsCode:
         """Recover the k data symbols from exactly k (position, symbol) pairs.
 
         The caller chooses the k positions. Their data symbols pass through
-        and only the erased ones are solved (see ``_solve_plan``). The
-        syndromes multiply stored parity coefficients, so stripe arrays
-        reuse the product tables of encode. Raises InsufficientDataError
-        with fewer than k positions, ParameterError with more, and
-        DecodeError if the system is singular (possible only for the
-        vandermonde_literal family).
+        and only the erased ones are solved (see ``_solve_plan``): one
+        ``Field.dots`` call for the syndromes, one for the erased symbols.
+        Raises InsufficientDataError with fewer than k positions,
+        ParameterError with more, and DecodeError if the system is singular
+        (possible only for the vandermonde_literal family).
         """
         use = tuple(sorted(known))
         k = self.k
@@ -137,11 +143,11 @@ class MdsCode:
         if plan is None:
             raise DecodeError(f"singular decode system for positions {use}")
         erased, present, checks, b_rows, inv = plan
-        dot = self.fld.dot
+        dots = self.fld.dots
         ds = [known[c] for c in present]
-        synd = [known[p] ^ dot(row, ds) for p, row in zip(checks, b_rows)]
-        for c, row in zip(erased, inv):  # ascending, so each index is final
-            ds.insert(c - 1, dot(row, synd))
+        synd = [known[p] ^ b for p, b in zip(checks, dots(b_rows, ds))]
+        for c, x in zip(erased, dots(inv, synd)):  # ascending, so each index is final
+            ds.insert(c - 1, x)
         return ds
 
     def decode(self, known: Mapping[int, object]) -> list:

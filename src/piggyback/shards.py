@@ -228,6 +228,18 @@ def _pwrite(fd: int, data, offset: int):
 
 
 @contextlib.contextmanager
+def _named(path: Path):
+    """Re-raise an OSError that names a file with ``path``, the file the
+    caller asked for, instead of the temp file standing in for it."""
+    try:
+        yield
+    except OSError as exc:
+        if exc.filename is None:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
+
+
+@contextlib.contextmanager
 def _atomic_files(paths: list[Path]):
     """Yield a write fd per path, each on a temp file unique to this call.
 
@@ -240,15 +252,14 @@ def _atomic_files(paths: list[Path]):
     fds: list[int] = []
     try:
         for tmp, path in zip(tmps, paths):
-            try:
+            with _named(path):
                 fds.append(os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666))
-            except OSError as exc:  # name the file the caller asked for
-                raise type(exc)(exc.errno, exc.strerror, str(path)) from exc
         yield fds
         while fds:
             os.close(fds.pop())
         for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            with _named(path):
+                os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
             tmp.unlink(missing_ok=True)

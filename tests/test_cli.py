@@ -392,6 +392,24 @@ def test_decode_to_missing_directory_is_io_error(tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
+def test_decode_over_directory_names_it_and_leaves_no_temp(tmp_path, capsys):
+    src = write_file(tmp_path, 100, seed=13)
+    out_dir = tmp_path / "shards"
+    run(["encode", *code_flags(CodeParams(8, 6, 1, 3, w=8)), "--in", src,
+         "--out-dir", out_dir])
+    capsys.readouterr()
+    dst = tmp_path / "outdir"
+    dst.mkdir()
+    assert run(["decode", "--in-dir", out_dir, "--out", dst]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+    # the failed rename names the path asked for, not the temp file
+    message = json.loads(err[0])["message"]
+    assert str(dst) in message and ".tmp" not in message
+    assert not list(tmp_path.glob("*.tmp")) and not list(tmp_path.glob(".*.tmp"))
+    assert dst.is_dir() and not list(dst.iterdir())
+
+
 def test_one_parser_serves_every_call(tmp_path, capsys):
     params = CodeParams(8, 6, 1, 3, w=8)
     src = write_file(tmp_path, 2000, seed=12)

@@ -4,7 +4,9 @@ import random
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
-from piggyback import CodeParams, design1, design2, grid_reader, shards
+import numpy as np
+
+from piggyback import CodeParams, Field, design1, design2, grid_reader, shards
 
 
 def test_concurrent_repairs_share_instances():
@@ -81,3 +83,29 @@ def test_concurrent_shard_operations_share_the_block_pool(tmp_path, monkeypatch)
                 future.result(timeout=120)
     finally:
         sys.setswitchinterval(switch)
+
+
+def test_concurrent_dots_share_one_fields_packed_tables():
+    # 8 threads build and read the packed tables of one fresh Field at once
+    fld = Field(16)
+    rng = random.Random(63)
+    mats = [[[rng.randrange(fld.q) for _ in range(6)] for _ in range(5)]
+            for _ in range(16)]
+    arrays = [np.array([rng.randrange(fld.q) for _ in range(301)], dtype=np.uint16)
+              for _ in range(6)]
+
+    def check(mat):
+        out = fld.dots(mat, arrays)
+        return all(
+            [int(x[t]) for x in out] == fld.dots(mat, [int(a[t]) for a in arrays])
+            for t in range(0, 301, 30)
+        )
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        with ThreadPoolExecutor(max_workers=8) as pool:
+            results = list(pool.map(check, mats * 4, timeout=120))
+    finally:
+        sys.setswitchinterval(switch)
+    assert len(results) == 64 and all(results)

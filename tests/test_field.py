@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from piggyback import ParameterError, field, parity_vectors
-from piggyback.field import PRODUCT_TABLES, REDUCTION_POLY, Field, carryless_mul
+from piggyback.field import (
+    PACKED_TABLES,
+    PRODUCT_TABLES,
+    REDUCTION_POLY,
+    Field,
+    carryless_mul,
+)
+from piggyback.shards import BLOCK_BYTES
 
 
 def slow_mul(a, b, poly, w):
@@ -272,6 +279,173 @@ def test_dot_scalar_and_vector_agree():
     arrs = [np.array([x, 0, x], dtype=np.uint32) for x in sym]
     out = f.dot(coeffs, arrs)
     assert int(out[0]) == want and int(out[1]) == 0 and int(out[2]) == want
+
+
+def dots_matrix(f, rng, m, k):
+    """m x k random coefficients. Every row holds a zero and a one; from
+    three rows on, the second row is all zeros."""
+    mat = [[rng.randrange(1, f.q) for _ in range(k)] for _ in range(m)]
+    for j, row in enumerate(mat):
+        row[j % k], row[(j + 1) % k] = 0, 1
+    if m > 2:
+        mat[1] = [0] * k
+    return mat
+
+
+def per_row_dot(f, mat, symbols):
+    return [f.dot(row, symbols) for row in mat]
+
+
+@pytest.mark.parametrize("w", [8, 16])
+@pytest.mark.parametrize("m", range(1, 10))
+def test_dots_matches_per_row_dot(w, m):
+    # 1..9 rows crosses both group sizes (8 rows at w=8, 4 at w=16); the
+    # lengths are an empty file's block, one stripe, an odd count and the
+    # stripes of one block of C(14,10,2,0)
+    f = field(w)
+    rng = random.Random(w * 100 + m)
+    k = 5
+    mat = dots_matrix(f, rng, m, k)
+    for size in (0, 1, 7, BLOCK_BYTES // (20 * w // 8)):
+        arrays = [
+            np.array([rng.randrange(f.q) for _ in range(size)], dtype=f.dtype)
+            for _ in range(k)
+        ]
+        if size:
+            arrays[0][0] = f.order
+        out = f.dots(mat, arrays)
+        want = per_row_dot(f, mat, arrays)
+        assert len(out) == m
+        for got, ref in zip(out, want):
+            assert got.dtype == ref.dtype and got.shape == ref.shape
+            assert np.array_equal(got, ref), (size, mat)
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_dots_on_strided_column_views(w):
+    # ShardReader.rows hands out the rows of a transposed (stripes, s+1) table
+    f = field(w)
+    rng = np.random.default_rng(w)
+    table = rng.integers(0, f.q, (301, 6), dtype=f.dtype)
+    views = list(table.T)
+    assert not views[0].flags.c_contiguous
+    mat = dots_matrix(f, random.Random(w), 6, 6)
+    contiguous = [np.ascontiguousarray(v) for v in views]
+    want = per_row_dot(f, mat, contiguous)
+    for got, ref in zip(f.dots(mat, views), want):
+        assert np.array_equal(got, ref)
+    # and on 2-D symbols, as SymbolGrid cells are
+    blocks = [v.reshape(7, 43) for v in contiguous]
+    for got, ref in zip(f.dots(mat, blocks), want):
+        assert got.shape == (7, 43) and np.array_equal(got.reshape(-1), ref)
+
+
+@pytest.mark.parametrize("w,dtype", [(8, np.uint16), (8, np.uint32), (16, np.uint32)])
+def test_dots_foreign_dtype_in_range(w, dtype):
+    f = field(w)
+    rng = random.Random(20 + w)
+    arrays = [np.array([rng.randrange(f.q) for _ in range(33)], dtype=dtype)
+              for _ in range(4)]
+    mat = dots_matrix(f, rng, 5, 4)
+    for got, ref in zip(f.dots(mat, arrays), per_row_dot(f, mat, arrays)):
+        assert got.dtype == ref.dtype == dtype
+        assert np.array_equal(got, ref)
+
+
+def test_dots_out_of_range_raises_not_clipped():
+    f = field(8)
+    good = np.arange(3, dtype=np.uint32)
+    mat = [[1, 2], [3, 4], [5, 6]]
+    with pytest.raises(ParameterError, match="outside GF"):
+        f.dots(mat, [good, np.array([1, 256, 2], dtype=np.uint32)])
+    with pytest.raises(ParameterError, match="outside GF"):
+        f.dots(mat, [np.array([-1, 0, 1], dtype=np.int64), good])
+    with pytest.raises(ParameterError):
+        f.dots(mat, [good, np.array([2.0, 1.0, 0.0])])
+    with pytest.raises(ParameterError, match="coefficient 256"):
+        f.dots([[1, 256], [3, 4], [5, 6]], [good, good])
+    with pytest.raises(ParameterError, match="w=8 or w=16"):
+        Field(4, poly=0x13).dots(mat, [good % 16, good % 16])
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_dots_leaves_inputs_unchanged_and_never_aliases(w):
+    f = field(w)
+    rng = np.random.default_rng(30 + w)
+    arrays = [rng.integers(0, f.q, 50, dtype=f.dtype) for _ in range(5)]
+    before = [a.copy() for a in arrays]
+    # the identity rows copy their column: still a new array
+    mat = [[1, 0, 0, 0, 0], [0, 1, 0, 0, 0], [3, 1, 0, 7, 1]]
+    out = f.dots(mat, arrays)
+    assert np.array_equal(out[0], arrays[0]) and np.array_equal(out[1], arrays[1])
+    assert not any(np.shares_memory(o, a) for o in out for a in arrays)
+    assert all(np.array_equal(a, b) for a, b in zip(arrays, before))
+    out[2] ^= 1
+    assert np.array_equal(out[0], arrays[0])
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_dots_plain_ints_give_dot_ints(w):
+    f = field(w)
+    rng = random.Random(40 + w)
+    for m in (1, 2, 9):
+        mat = dots_matrix(f, rng, m, 6)
+        syms = [rng.randrange(f.q) for _ in range(6)]
+        out = f.dots(mat, syms)
+        assert out == per_row_dot(f, mat, syms)
+        assert all(type(x) is int for x in out)
+    assert f.dots([[1, 2], [3, 4]], []) == [0, 0]
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_packed_table_layout(w):
+    f = Field(w)
+    column = (7, 0, 1, f.order)[: 64 // w]
+    table = f.packed_table(column)
+    assert table.dtype == np.dtype("<u8") and table.shape == (w // 8, 256)
+    assert not table.flags.writeable
+    mask = (1 << w) - 1
+    for b in range(w // 8):
+        for x in range(256):
+            entry = int(table[b, x])
+            assert [entry >> w * j & mask for j in range(len(column))] == [
+                slow_mul(a, x << 8 * b, f.poly, w) for a in column
+            ]
+
+
+def test_packed_table_cache_is_bounded():
+    """At most PACKED_TABLES packed tables are kept: each is (w/8) x 256
+    eight-byte entries, 4 KiB at w=16, so 4 MiB per Field at most."""
+    f = Field(16)
+    rng = random.Random(41)
+    count = PACKED_TABLES + 40
+    mat = [rng.sample(range(1, f.q), count)] + [
+        [rng.randrange(f.q) for _ in range(count)] for _ in range(2)
+    ]
+    arrays = [np.array([rng.randrange(f.q) for _ in range(3)], dtype=np.uint16)
+              for _ in range(count)]
+    for start in range(0, count, 100):
+        part = slice(start, start + 100)
+        rows, syms = [row[part] for row in mat], arrays[part]
+        out = f.dots(rows, syms)
+        for i in range(3):
+            assert [int(x[i]) for x in out] == f.dots(rows, [int(a[i]) for a in syms])
+        assert f.packed_table.cache_info().currsize <= PACKED_TABLES
+    assert f.packed_table.cache_info().currsize == PACKED_TABLES
+    assert PACKED_TABLES * 2 * 256 * 8 == 4 << 20
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_dots_takes_packed_tables_from_three_rows(w):
+    # for one or two rows the lane tables gather no more entries than the
+    # packed ones, and smaller ones
+    f = Field(w)
+    arrays = [np.arange(9, dtype=f.dtype) for _ in range(4)]
+    for m in (1, 2):
+        f.dots([[2, 3, 4, 5]] * m, arrays)
+    assert f.packed_table.cache_info().misses == 0
+    f.dots([[2, 3, 4, 5]] * 3, arrays)
+    assert f.packed_table.cache_info().misses == 4
 
 
 def test_parity_vectors_row1_all_ones():

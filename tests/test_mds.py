@@ -14,6 +14,7 @@ from piggyback import (
     mds,
     mds_code,
 )
+from piggyback.field import Field
 from piggyback.mds import MdsCode
 
 
@@ -199,3 +200,25 @@ def test_bad_family_and_shape_rejected():
         MdsCode(6, 8, field(8))
     with pytest.raises(ParameterError):
         MdsCode(300, 6, field(8))  # more points than the field has
+
+
+@pytest.mark.parametrize("w", [8, 16])
+def test_array_encode_and_multi_erasure_decode_build_no_lane_table(w):
+    # one gather per input byte for every group of parity rows: a fallback
+    # to one lane-table gather per coefficient would build product tables
+    # here (r = 4, and e >= 3 erased data symbols)
+    fld = Field(w)  # fresh, so every table it builds is counted
+    inst = MdsCode(14, 10, fld)
+    rng = np.random.default_rng(w)
+    data = [rng.integers(0, fld.q, 97, dtype=fld.dtype) for _ in range(10)]
+    cw = inst.encode(data)
+    for lost in [(1, 2, 3), (3, 5, 8, 12), (2, 4, 6, 9)]:
+        known = {p: cw[p - 1] for p in range(1, 15) if p not in lost}
+        known = dict(itertools.islice(known.items(), 10))
+        got = inst.decode_data(known)
+        assert all(np.array_equal(a, b) for a, b in zip(got, data))
+    assert fld.product_table.cache_info().misses == 0
+    assert fld.packed_table.cache_info().misses > 0
+    # the plain-int codeword of each stripe is the same
+    for t in (0, 96):
+        assert inst.encode([int(d[t]) for d in data]) == [int(c[t]) for c in cw]

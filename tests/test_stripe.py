@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from piggyback import CodeParams, DecodeError, ParameterError, grid_reader, stripe
@@ -88,3 +89,34 @@ def test_recover_nodes_rejects_bad_failed_set(failed):
     grid = stripe.encode_stripe(params, [0] * params.data_symbols)
     with pytest.raises(ParameterError):
         stripe.recover_nodes(params, failed, grid_reader(grid, failed=failed))
+
+
+@pytest.mark.parametrize(
+    "params, lost",
+    [pytest.param(CodeParams(14, 10, 2, 10, w=16), lost, id=f"design1-w16-{name}")
+     for name, lost in [("k", (3, 8, 12, 14))]]
+    + [pytest.param(CodeParams(14, 10, 2, 0, w=8), lost, id=f"design2-w8-{name}")
+       for name, lost in [("k", (2, 7, 11, 13)), ("r+1", (2, 5, 7, 11, 13))]],
+)
+def test_array_path_matches_int_path_stripe_by_stripe(params, lost):
+    # the array path multiplies by packed tables, the int path by exp/log:
+    # every stripe of a batch must come out the same both ways
+    rng = np.random.default_rng(params.w + len(lost))
+    q, batch = 1 << params.w, 23
+    dtype = np.uint8 if params.w == 8 else np.uint16
+    data = [rng.integers(0, q, batch, dtype=dtype) for _ in range(params.data_symbols)]
+    data[0][0] = q - 1
+    grid = stripe.encode_stripe(params, data)
+    rows = {f: grid.row(f) for f in range(1, params.n + 1) if f not in lost}
+    decoded = stripe.decode_from_k(params, rows)
+    recovered = stripe.recover_nodes(params, lost, grid_reader(grid, failed=lost))
+    for t in range(batch):
+        ints = [int(d[t]) for d in data]
+        want = stripe.encode_stripe(params, ints).cells.tolist()
+        assert grid.cells[:, :, t].tolist() == want, t
+        int_rows = {f: want[f - 1] for f in rows}
+        want_data = stripe.decode_from_k(params, int_rows)
+        assert [int(d[t]) for d in decoded] == want_data == ints
+        int_reader = grid_reader(stripe.encode_stripe(params, ints), failed=lost)
+        want_rec = stripe.recover_nodes(params, lost, int_reader)
+        assert {f: [int(x[t]) for x in row] for f, row in recovered.items()} == want_rec
