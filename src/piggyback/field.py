@@ -27,6 +27,10 @@ product tables, which are then the faster.
 
 Products keep the array's dtype, so stored uint8/uint16 symbols are never
 widened.
+
+Plain ints multiply in the log domain. ``dots`` looks each symbol's log up
+once for all rows, and ``matmul`` multiplies two coefficient matrices,
+which is how ``mds`` composes a decode into one matrix.
 """
 
 from __future__ import annotations
@@ -265,25 +269,41 @@ class Field:
         """eta raised to e (e may be any integer)."""
         return self._exp[e % self.order]
 
+    def matmul(self, a, b, add) -> list[list[int]]:
+        """add + a x b for coefficient matrices a (m x e), b (e x c), add (m x c).
+
+        All are lists of int rows; no input is modified. Each nonzero entry
+        of a row of a adds that multiple of a row of b, every product the
+        exp of a sum of two logs.
+        """
+        exp, log = self._exp, self._log
+        out = []
+        for row, acc in zip(a, add):
+            for x, brow in zip(row, b):
+                if x:
+                    lx = log[x]
+                    acc = [s ^ exp[lx + log[y]] if y else s for s, y in zip(acc, brow)]
+            out.append(acc)
+        return out
+
     def dot(self, coeffs, symbols):
         """GF inner product; symbols may be ints or stripe arrays.
 
-        On arrays the result is a new array and no input is modified.
+        On arrays the result is a new array of the symbols' shape and
+        dtype, and no input is modified. An array whose dtype is not the
+        field's must hold integers in [0, 2^w).
         """
         if len(symbols) and isinstance(symbols[0], np.ndarray):
-            acc = np.zeros_like(symbols[0], dtype=np.result_type(*symbols))
+            dtype = np.result_type(*symbols)
+            acc = np.zeros(symbols[0].shape, self.dtype)
             for c, x in zip(coeffs, symbols):
+                x = x if x.dtype == self.dtype else self._symbols(x)
                 if c == 1:
                     acc ^= x
                 elif c:
                     acc ^= self.mul(c, x)
-            return acc
-        exp, log = self._exp, self._log
-        acc = 0
-        for c, x in zip(coeffs, symbols):
-            if c and x:
-                acc ^= exp[log[c] + log[x]]
-        return acc
+            return acc if acc.dtype == dtype else acc.astype(dtype)
+        return self.dots([coeffs], symbols)[0]
 
     def dots(self, matrix, symbols) -> list:
         """The rows of matrix x symbols: ``[dot(row, symbols) for row in matrix]``.
@@ -293,11 +313,24 @@ class Field:
         column's packed table, which yields the products of the whole group
         as one 64-bit word, and one XOR per column sums them; the words are
         then read back as (count, 64/w) symbols. One or two rows (see the
-        module docstring) and plain ints go through ``dot`` row by row. On
-        arrays the result is new arrays of the symbols' shape and dtype; no
-        input is modified.
+        module docstring) go through ``dot`` row by row. On arrays the
+        result is new arrays of the symbols' shape and dtype; no input is
+        modified. Plain ints are summed in the log domain, each symbol's
+        log looked up once for all rows.
         """
-        if len(matrix) < 3 or not (len(symbols) and isinstance(symbols[0], np.ndarray)):
+        if not (len(symbols) and isinstance(symbols[0], np.ndarray)):
+            exp, log = self._exp, self._log
+            terms = [(j, log[x]) for j, x in enumerate(symbols) if x]
+            out = []
+            for row in matrix:
+                acc = 0
+                for j, lx in terms:
+                    c = row[j]
+                    if c:
+                        acc ^= exp[log[c] + lx]
+                out.append(acc)
+            return out
+        if len(matrix) < 3:
             return [self.dot(row, symbols) for row in matrix]
         if self.w not in (8, 16):
             raise ParameterError(f"array multiply needs w=8 or w=16, not {self.w}")

@@ -18,12 +18,14 @@ from e parity symbols, by inverting an e x e block, not a k x k matrix. A
 k-subset decodes exactly when that block is invertible (``verify_mds``).
 Decode takes exactly k positions; which k, and any check of more, is the caller's.
 
-Every linear map with several output rows is one ``Field.dots`` call: the
-r parity rows of ``encode``, and the e syndromes and e erased symbols of
-``decode_data``. On stripe arrays with three or more rows that is one
-gather per input byte for a group of rows, not one per coefficient.
-``symbol_at``, which repair uses for one parity symbol at a time, stays a
-single ``Field.dot``.
+The solve and the parity rows compose into one matrix per k-subset,
+cached per instance: each row gives one position outside the subset
+from the k supplied symbols (``_solve_plan``). ``solve`` applies the rows
+a caller wants -- the whole codeword for ``decode``, the erased data for
+``decode_data``, a failed node and the parities under its piggybacks for
+design1 repair -- and ``encode`` applies the parity rows, each in one
+``Field.dots`` call. On stripe arrays with three or more rows that is
+one gather per input byte for a group of rows, not one per coefficient.
 """
 
 from __future__ import annotations
@@ -111,23 +113,16 @@ class MdsCode:
             raise ParameterError(f"expected {self.k} data symbols, got {len(data)}")
         return data + self.fld.dots(self.parity, data)
 
-    def symbol_at(self, pos: int, data):
-        """Codeword symbol at position pos (1-based) for the given data."""
-        if not 1 <= pos <= self.n:
-            raise ParameterError(f"position {pos} out of [1, {self.n}]")
-        if pos <= self.k:
-            return data[pos - 1]
-        return self.fld.dot(self.parity[pos - self.k - 1], data)
+    def solve(self, known: Mapping[int, object], positions) -> list:
+        """Codeword symbols at ``positions`` from exactly k (position, symbol) pairs.
 
-    def decode_data(self, known: Mapping[int, object]) -> list:
-        """Recover the k data symbols from exactly k (position, symbol) pairs.
-
-        The caller chooses the k positions. Their data symbols pass through
-        and only the erased ones are solved (see ``_solve_plan``): one
-        ``Field.dots`` call for the syndromes, one for the erased symbols.
-        Raises InsufficientDataError with fewer than k positions,
-        ParameterError with more, and DecodeError if the system is singular
-        (possible only for the vandermonde_literal family).
+        The caller chooses the k positions. Supplied positions pass through;
+        every other one is its row of the cached ``_solve_plan`` matrix over
+        the k supplied symbols, all in one ``Field.dots`` call. Raises
+        InsufficientDataError with fewer than k pairs, ParameterError with
+        more or with a position outside [1, n], and DecodeError if the
+        system is singular (possible only for the vandermonde_literal
+        family).
         """
         use = tuple(sorted(known))
         k = self.k
@@ -137,22 +132,29 @@ class MdsCode:
             raise ParameterError(f"decode takes exactly {k} positions, got {len(use)}")
         if not (1 <= use[0] and use[-1] <= self.n):
             raise ParameterError(f"positions out of [1, {self.n}]: {list(use)}")
-        if use[-1] == k:  # all data positions supplied
-            return [known[p] for p in use]
-        plan = self._plan(use)
-        if plan is None:
+        rows = self._plan(use)
+        if rows is None:
             raise DecodeError(f"singular decode system for positions {use}")
-        erased, present, checks, b_rows, inv = plan
-        dots = self.fld.dots
-        ds = [known[c] for c in present]
-        synd = [known[p] ^ b for p, b in zip(checks, dots(b_rows, ds))]
-        for c, x in zip(erased, dots(inv, synd)):  # ascending, so each index is final
-            ds.insert(c - 1, x)
-        return ds
+        try:
+            matrix = [rows[p] for p in positions if p not in known]
+        except KeyError as err:
+            raise ParameterError(f"position {err} out of [1, {self.n}]") from None
+        solved = self.fld.dots(matrix, [known[p] for p in use])
+        if len(solved) == len(positions):
+            return solved
+        solved = iter(solved)
+        return [known[p] if p in known else next(solved) for p in positions]
+
+    def decode_data(self, known: Mapping[int, object]) -> list:
+        """The k data symbols from exactly k (position, symbol) pairs (see ``solve``).
+
+        Supplied data symbols pass through; the erased ones are solved.
+        """
+        return self.solve(known, range(1, self.k + 1))
 
     def decode(self, known: Mapping[int, object]) -> list:
-        """The full codeword from exactly k pairs: ``encode(decode_data(known))``."""
-        return self.encode(self.decode_data(known))
+        """The full codeword from exactly k (position, symbol) pairs (see ``solve``)."""
+        return self.solve(known, range(1, self.n + 1))
 
     def verify_mds(
         self,
@@ -186,27 +188,53 @@ class MdsCode:
         tested = 0
         for sub in subsets:
             tested += 1
-            if _solve_plan(self.parity, self.k, self.fld, sub) is None:
+            if _erased_inverse(self.parity, self.k, self.fld, sub) is None:
                 return MdsCheck(False, tuple(sub), tested)
         return MdsCheck(True, None, tested)
 
 
-def _solve_plan(parity: list[list[int]], k: int, fld: Field, use: tuple[int, ...]):
-    """How to solve the erased data of the sorted k-subset ``use``.
+def _erased_inverse(parity: list[list[int]], k: int, fld: Field, use: tuple[int, ...]):
+    """The erased data of the sorted k-subset ``use`` and the inverse of its block.
 
-    A (e x e) and B are the parity rows in ``use`` over the erased and the
-    present data columns. The syndromes s = y - B d of those rows are A
-    times the erased data, so the erased data is A^-1 s. Returns (erased,
-    present, checks, B, A^-1), or None if A is singular.
+    A (e x e) holds the parity rows in ``use`` (the checks) over the e
+    erased data columns. Returns (erased, present, checks, A^-1), or None
+    if A is singular, in which case ``use`` does not decode.
     """
     e = sum(p > k for p in use)
     present, checks = use[: k - e], use[k - e :]
     erased = sorted(set(range(1, k + 1)).difference(use))
-    rows = [parity[p - k - 1] for p in checks]
-    inv = _invert([[row[c - 1] for c in erased] for row in rows], fld)
-    if inv is None:
+    inv = _invert([[parity[p - k - 1][c - 1] for c in erased] for p in checks], fld)
+    return None if inv is None else (erased, present, checks, inv)
+
+
+def _solve_plan(parity: list[list[int]], k: int, fld: Field, use: tuple[int, ...]):
+    """The linear map from the symbols at ``use`` to every other position.
+
+    Returns M as a dict keyed by each position p not in the sorted k-subset
+    ``use``: codeword[p] = sum_j M[p][j] * codeword[use[j]]. With B the
+    checks' rows over the present data columns, the syndromes y + B d of
+    the checks y are A times the erased data d_E, so each erased data row
+    is [A^-1 B | A^-1], and each missing parity row P is P over the
+    present columns, plus P over the erased columns times the erased
+    rows. None if A is singular.
+    """
+    solved = _erased_inverse(parity, k, fld, use)
+    if solved is None:
         return None
-    return erased, present, checks, [[r[c - 1] for c in present] for r in rows], inv
+    erased, present, checks, inv = solved
+    missing = [p for p in range(k + 1, k + len(parity) + 1) if p not in checks]
+    gen = [parity[p - k - 1] for p in missing]
+    if not erased:  # every data symbol supplied: the parity rows themselves
+        return dict(zip(missing, gen))
+    e = len(erased)
+    b = [[parity[p - k - 1][c - 1] for c in present] for p in checks]
+    data = [x + y for x, y in zip(fld.matmul(inv, b, [[0] * (k - e)] * e), inv)]
+    par = fld.matmul(
+        [[g[c - 1] for c in erased] for g in gen],
+        data,
+        [[g[c - 1] for c in present] + [0] * e for g in gen],
+    )
+    return dict(zip(erased + missing, data + par))
 
 
 def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:

@@ -179,8 +179,9 @@ def repair_node(
     deduplicated and reported, and row f is never read. Each lost cell
     (i, f) is peeled out of the sum that contains it: the stored sum
     minus its other contributors, and, for k' > 0, minus the (n, k')
-    parity under it, decoded first from the unsummed rows 1..k'+1 (the
-    first k' other than f). Bandwidth is k' plus the sizes of the s sums
+    parity under it. Those s parities and row f's own (n, k') symbol are
+    one ``MdsCode.solve`` over the unsummed rows 1..k'+1 (the first k'
+    other than f). Bandwidth is k' plus the sizes of the s sums
     containing row f's cells, plus the size of the sum stored in row f.
     """
     if not 1 <= f <= params.n:
@@ -189,11 +190,11 @@ def repair_node(
     last_col = s + 1
     pb = build_map(params)
     tracker = ReadTracker(read, (f,))
+    targets = [pb.source_to_tau[(i, f)][1] for i in range(1, s + 1)]
     if kp:
-        mds_b = params.mds_last
         plain = [row for row in range(1, kp + 2) if row != f][:kp]
-        b = mds_b.decode_data({row: tracker.fetch(row, last_col) for row in plain})
-        last = mds_b.symbol_at(f, b)
+        known = {row: tracker.fetch(row, last_col) for row in plain}
+        last, *under = params.mds_last.solve(known, [f, *targets])
     else:
         last = None
     for ci, cj in pb.sums.get(f, ()):
@@ -201,11 +202,10 @@ def repair_node(
         last = v if last is None else last ^ v
 
     row_syms = []
-    for i in range(1, s + 1):
-        target = pb.source_to_tau[(i, f)][1]
+    for i, target in enumerate(targets, 1):
         acc = tracker.fetch(target, last_col)
         if kp:
-            acc = acc ^ mds_b.symbol_at(target, b)
+            acc = acc ^ under[i - 1]
         for ci, cj in pb.sums[target]:
             if (ci, cj) != (i, f):
                 acc = acc ^ tracker.fetch(cj, ci)

@@ -210,6 +210,20 @@ def test_foreign_dtype_out_of_range_raises_not_clipped():
     assert f.mul(3, vec[::2]).tolist() == [3, 6]
 
 
+def test_dot_foreign_dtype_out_of_range_raises_for_every_coefficient():
+    # a unit coefficient XORs its symbol in without a multiply, and a zero
+    # one skips it: both must still refuse a non-symbol
+    f = field(8)
+    one = np.array([1], dtype=np.uint32)
+    for coeffs in ([1, 2], [0, 2], [3, 2]):
+        with pytest.raises(ParameterError, match="outside GF"):
+            f.dot(coeffs, [np.array([256], dtype=np.uint32), one])
+        with pytest.raises(ParameterError):
+            f.dot(coeffs, [np.array([2.0]), one])
+    out = f.dot([1, 2], [np.array([255], dtype=np.uint32), one])
+    assert out.dtype == np.uint32 and out.tolist() == [255 ^ 2]
+
+
 @pytest.mark.parametrize("w", [8, 16])
 def test_product_table_is_one_lane_table(w):
     f = Field(w)
@@ -392,9 +406,40 @@ def test_dots_plain_ints_give_dot_ints(w):
         mat = dots_matrix(f, rng, m, 6)
         syms = [rng.randrange(f.q) for _ in range(6)]
         out = f.dots(mat, syms)
-        assert out == per_row_dot(f, mat, syms)
+        want = []
+        for row in mat:
+            acc = 0
+            for c, x in zip(row, syms):
+                acc ^= f.mul(c, x)
+            want.append(acc)
+        assert out == want
         assert all(type(x) is int for x in out)
     assert f.dots([[1, 2], [3, 4]], []) == [0, 0]
+
+
+@pytest.mark.parametrize("w", [8, 16])
+@pytest.mark.parametrize(
+    "m, e, c", [(1, 1, 1), (3, 2, 5), (1, 1, 64), (16, 4, 20)]
+)
+def test_matmul_matches_scalar_mul(w, m, e, c):
+    # zeros, ones and the largest element in every operand
+    f = field(w)
+    rng = random.Random(50 + w + m * e * c)
+    pick = lambda: rng.choice([0, 1, f.order, rng.randrange(f.q)])
+    a = [[pick() for _ in range(e)] for _ in range(m)]
+    b = [[pick() for _ in range(c)] for _ in range(e)]
+    add = [[pick() for _ in range(c)] for _ in range(m)]
+    a[0] = [0] * e
+    before = [[row[:] for row in x] for x in (a, b, add)]
+    want = [[add[i][j] for j in range(c)] for i in range(m)]
+    for i in range(m):
+        for j in range(c):
+            for t in range(e):
+                want[i][j] ^= f.mul(a[i][t], b[t][j])
+    got = f.matmul(a, b, add)
+    assert got == want
+    assert all(type(x) is int for row in got for x in row)
+    assert [a, b, add] == before
 
 
 @pytest.mark.parametrize("w", [8, 16])

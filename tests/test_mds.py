@@ -182,15 +182,22 @@ def test_rs_parity_entries_all_nonzero():
         assert all(all(row) for row in inst.parity)
 
 
-def test_symbol_at_matches_encode():
+def test_solve_matches_encode():
     rng = random.Random(6)
     inst = mds_code(10, 6, 8)
     data = [rng.randrange(256) for _ in range(6)]
     cw = inst.encode(data)
-    for pos in range(1, 11):
-        assert inst.symbol_at(pos, data) == cw[pos - 1]
-    with pytest.raises(ParameterError):
-        inst.symbol_at(11, data)
+    positions = range(1, 11)
+    for keep in [(1, 2, 3, 4, 5, 6), (2, 3, 5, 7, 8, 10), (5, 6, 7, 8, 9, 10)]:
+        known = {p: cw[p - 1] for p in keep}
+        assert inst.solve(known, positions) == cw
+        for pos in positions:
+            assert inst.solve(known, [pos]) == [cw[pos - 1]]
+        assert inst.solve(known, [9, 1, 9]) == [cw[8], cw[0], cw[8]]
+        with pytest.raises(ParameterError):
+            inst.solve(known, [11])
+        with pytest.raises(ParameterError):
+            inst.solve(known, [0, 1])
 
 
 def test_bad_family_and_shape_rejected():

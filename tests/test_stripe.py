@@ -1,11 +1,14 @@
 """The stripe engine shared by both layouts: placement map and full decode."""
 
+import functools
 import random
 
 import numpy as np
 import pytest
 
 from piggyback import CodeParams, DecodeError, ParameterError, grid_reader, stripe
+from piggyback import params as params_module
+from piggyback.field import Field
 from piggyback.mds import MdsCode
 
 LAYOUTS = [CodeParams(8, 6, 1, 3, w=8), CodeParams(14, 10, 2, 10, w=8),
@@ -52,15 +55,15 @@ def test_decode_stripe_catches_any_corrupt_cell(params, supplied):
 
 @pytest.fixture
 def decode_sizes(monkeypatch):
-    """(k of the instance, positions given) for each MdsCode.decode_data call."""
+    """(k of the instance, positions given) for each MdsCode.decode call."""
     sizes = []
-    decode_data = MdsCode.decode_data
+    decode = MdsCode.decode
 
     def record(inst, known):
         sizes.append((inst.k, len(known)))
-        return decode_data(inst, known)
+        return decode(inst, known)
 
-    monkeypatch.setattr(MdsCode, "decode_data", record)
+    monkeypatch.setattr(MdsCode, "decode", record)
     return sizes
 
 
@@ -120,3 +123,56 @@ def test_array_path_matches_int_path_stripe_by_stripe(params, lost):
         int_reader = grid_reader(stripe.encode_stripe(params, ints), failed=lost)
         want_rec = stripe.recover_nodes(params, lost, int_reader)
         assert {f: [int(x[t]) for x in row] for f, row in recovered.items()} == want_rec
+
+
+@pytest.mark.parametrize(
+    "params", [CodeParams(14, 10, 2, 10, w=16), CodeParams(8, 6, 1, 3, w=8)],
+    ids=lambda p: f"{p.variant.value}-w{p.w}",
+)
+def test_array_repair_matches_int_repair_stripe_by_stripe(params):
+    # the parity under each piggyback comes from one solve over the plain
+    # cells: on arrays and on ints alike it must give every stripe's cells
+    rng = np.random.default_rng(params.w + params.n)
+    q, batch = 1 << params.w, 19
+    dtype = np.uint8 if params.w == 8 else np.uint16
+    data = [rng.integers(0, q, batch, dtype=dtype) for _ in range(params.data_symbols)]
+    data[-1][0] = q - 1
+    grid = stripe.encode_stripe(params, data)
+    int_grids = [
+        stripe.encode_stripe(params, [int(d[t]) for d in data]) for t in range(batch)
+    ]
+    for f in range(1, params.n + 1):
+        got, report = stripe.repair_node(params, f, grid_reader(grid, failed=[f]))
+        assert [x.dtype for x in got] == [dtype] * (params.s + 1)
+        for t, int_grid in enumerate(int_grids):
+            want, int_report = stripe.repair_node(
+                params, f, grid_reader(int_grid, failed=[f])
+            )
+            assert [int(x[t]) for x in got] == want == int_grid.row(f), (f, t)
+            assert int_report == report
+
+
+def test_array_repair_and_decode_build_no_lane_table(monkeypatch):
+    # the last column's parities in a k' > 0 repair (s + 1 = 3 rows) and a
+    # decode's r = 4 missing positions are each one packed-table solve: a
+    # fallback to one lane-table gather per coefficient would build
+    # product tables here
+    fld = Field(16)  # fresh, so every table it builds is counted
+    monkeypatch.setattr(
+        params_module, "mds_code",
+        functools.lru_cache(None)(lambda n, k, w, family: MdsCode(n, k, fld, family)),
+    )
+    params = CodeParams(14, 10, 2, 10, w=16)
+    rng = np.random.default_rng(17)
+    data = [rng.integers(0, fld.q, 41, dtype=np.uint16)
+            for _ in range(params.data_symbols)]
+    grid = stripe.encode_stripe(params, data)
+    for f in (1, 11, 14):
+        got, _ = stripe.repair_node(params, f, grid_reader(grid, failed=[f]))
+        assert all(np.array_equal(a, b) for a, b in zip(got, grid.row(f)))
+    inst = params.mds_first
+    cw = inst.encode(data[:10])
+    known = {p: cw[p - 1] for p in (1, 2, 3, 5, 6, 7, 9, 10, 12, 14)}
+    assert all(np.array_equal(a, b) for a, b in zip(inst.decode(known), cw))
+    assert fld.product_table.cache_info().misses == 0
+    assert fld.packed_table.cache_info().misses > 0
