@@ -2,20 +2,25 @@
 
 A file is split into stripes of s*k + k' symbols (w/8 bytes each,
 little-endian), zero-padded at the tail, and each stripe is encoded into
-the n x (s+1) array. Shard f holds row f of every stripe: its s+1 symbols
-stored contiguously per stripe, preceded by a fixed 33-byte header. A
-shard whose size does not match its header is left out of the set, like
-an absent one.
+the n x (s+1) array. Shard f holds row f of every stripe after a fixed
+33-byte header. Format v2 lays the stripes out in chunks of
+``CHUNK_BYTES`` of file data: within a chunk, each column 1..s+1 of row f
+is one contiguous segment, so a repair that needs one column of a helper
+reads that column alone. A shard whose size does not match its header is
+left out of the set, like an absent one; a v1 shard (each stripe's s+1
+symbols side by side) is refused with a request to re-encode.
 
 Piggyback sums and repair read sets never cross a stripe, so every
-operation runs in blocks of about ``BLOCK_BYTES`` of file data. A block is
-one contiguous byte range in the input file, in every shard and in the
-decoded file. It is ``os.pread`` from the shards it needs, run through the
-stripe engine with whole columns as numpy vectors, and ``os.pwrite`` at its
-offset into temp files that replace their targets only when every block
-succeeded. Blocks run on one shared pool with a thread per CPU in the
-affinity mask, since numpy's gathers and XORs release the GIL; memory
-grows with the worker count, not with the file size.
+operation runs in blocks of about ``BLOCK_BYTES`` of file data, each
+inside one chunk. A block is one contiguous byte range in the input file
+and in the decoded file, and one segment per column in every shard
+(``ShardHeader.segments``). Its columns are ``os.pread`` from the shards it
+needs, run through the stripe engine as numpy vectors, and ``os.pwrite``
+at their segments into temp files that replace their targets only when
+every block succeeded. Blocks run on one shared pool with a thread per
+CPU in the affinity mask, since numpy's gathers and XORs release the GIL;
+memory grows with the worker count, not with the file size. Encode reads
+the input a piece at a time into a column buffer that each thread keeps.
 """
 
 from __future__ import annotations
@@ -42,9 +47,12 @@ from .errors import (
 from .params import CodeParams, RepairReport, Variant
 
 MAGIC = b"PGB1"
-VERSION = 1
+VERSION = 2
 _HEADER_FMT = "<4sBBHHHHBHQQ"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+CHUNK_BYTES = 1 << 20
+"""File data per chunk of the payload: a format constant, since it fixes
+where each column segment lies."""
 
 
 @dataclass(frozen=True)
@@ -86,6 +94,11 @@ class ShardHeader:
         )
         if magic != MAGIC:
             raise DataError(f"corrupt header: bad magic {magic!r}")
+        if version == 1:
+            raise DataError(
+                "shard format version 1 is no longer readable: "
+                "re-encode the original file"
+            )
         if version != VERSION:
             raise DataError(f"corrupt header: unsupported version {version}")
         if design not in (1, 2):
@@ -99,7 +112,7 @@ class ShardHeader:
             hdr.params()
         except ParameterError as exc:
             raise DataError(f"corrupt header: {exc}") from exc
-        data_bytes = stripes * hdr.symbols_per_stripe * (w // 8)
+        data_bytes = stripes * hdr.stripe_bytes
         if length > data_bytes:
             raise DataError(
                 f"corrupt header: original_length {length} exceeds capacity {data_bytes}"
@@ -117,6 +130,11 @@ class ShardHeader:
         return self.w // 8
 
     @property
+    def stripe_bytes(self) -> int:
+        """File data per stripe."""
+        return self.symbols_per_stripe * self.symbol_bytes
+
+    @property
     def row_bytes(self) -> int:
         """Bytes of one stripe's row: the s+1 symbols a shard stores per stripe."""
         return (self.s + 1) * self.symbol_bytes
@@ -128,6 +146,25 @@ class ShardHeader:
     @property
     def dtype(self):
         return np.dtype("<u1") if self.w == 8 else np.dtype("<u2")
+
+    @property
+    def chunk_stripes(self) -> int:
+        return max(1, CHUNK_BYTES // self.stripe_bytes)
+
+    def segments(self, stripes: range) -> list[tuple[int, int]]:
+        """File (offset, size) of each column 1..s+1's symbols of ``stripes``.
+
+        The stripes must lie inside one chunk. A chunk holds its column 1
+        for every stripe, then its column 2, and so on to s+1.
+        """
+        chunk = self.chunk_stripes
+        first = stripes.start - stripes.start % chunk
+        held = min(chunk, self.stripe_count - first)  # stripes in the chunk
+        if stripes.stop > first + held:
+            raise ValueError(f"stripes {stripes} do not lie in one chunk")
+        sym = self.symbol_bytes
+        start = HEADER_SIZE + first * self.row_bytes + (stripes.start - first) * sym
+        return [(start + col * held * sym, len(stripes) * sym) for col in range(self.s + 1)]
 
     def params(self) -> CodeParams:
         return CodeParams(n=self.n, k=self.k, s=self.s, kprime=self.kprime, w=self.w)
@@ -142,6 +179,7 @@ def shard_filename(node: int) -> str:
 
 BLOCK_BYTES = 1 << 20
 """File data per block: the unit of I/O, of memory and of work per thread."""
+_PIECE_BYTES = 1 << 16  # file data per read of an encode block
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -165,11 +203,15 @@ def _executor() -> ThreadPoolExecutor:
 
 
 def _blocks(header: ShardHeader) -> list[range]:
-    """Stripe ranges of about BLOCK_BYTES of file data; one, maybe empty, at least."""
-    stripe_bytes = header.symbols_per_stripe * header.symbol_bytes
-    step = max(1, BLOCK_BYTES // stripe_bytes)
-    count = header.stripe_count
-    return [range(a, min(a + step, count)) for a in range(0, count, step)] or [range(0)]
+    """Stripe ranges of about BLOCK_BYTES of file data, none crossing a
+    chunk; one, maybe empty, at least."""
+    step = max(1, BLOCK_BYTES // header.stripe_bytes)
+    chunk, count = header.chunk_stripes, header.stripe_count
+    return [
+        range(a, min(a + step, c + chunk, count))
+        for c in range(0, count, chunk)
+        for a in range(c, min(c + chunk, count), step)
+    ] or [range(0)]
 
 
 def _run_blocks(task, blocks: list[range], helped: bool = True) -> list:
@@ -213,15 +255,17 @@ def _run_blocks(task, blocks: list[range], helped: bool = True) -> list:
     return results
 
 
-def _pread(fd: int, size: int, offset: int, name) -> bytes:
-    blob = os.pread(fd, size, offset)
-    if len(blob) != size:
-        raise DataError(f"{name}: read {len(blob)} of {size} bytes at offset {offset}")
-    return blob
+def _pread(fd: int, out: np.ndarray, offset: int, name):
+    """Fill the contiguous array ``out`` from ``offset`` of the file."""
+    done = os.preadv(fd, [out], offset)
+    if done != out.nbytes:
+        raise DataError(f"{name}: read {done} of {out.nbytes} bytes at offset {offset}")
 
 
 def _pwrite(fd: int, data, offset: int):
-    view = memoryview(data).cast("B")
+    view = memoryview(data)
+    if view.nbytes:  # a view with a zero in its shape cannot be cast
+        view = view.cast("B")
     while view:
         done = os.pwrite(fd, view, offset)
         view, offset = view[done:], offset + done
@@ -284,9 +328,10 @@ def _write_shards(
 
 
 def _write_row(fd: int, header: ShardHeader, stripes: range, row):
-    """Store one node's row of the block's stripes at their shard offset."""
-    offset = HEADER_SIZE + stripes.start * header.row_bytes
-    _pwrite(fd, _payload_from_row(header, row), offset)
+    """Store one node's row of the block's stripes, one write per column."""
+    columns = _payload_from_row(header, row)
+    for symbols, (offset, _) in zip(columns, header.segments(stripes)):
+        _pwrite(fd, symbols, offset)
 
 
 @contextlib.contextmanager
@@ -373,48 +418,50 @@ def load_shard_set(in_dir) -> ShardSet:
 
 
 class ShardReader:
-    """Cell reader over the stripes ``stripes`` of a shard set.
+    """Cell reader over the stripes ``stripes``, inside one chunk, of a
+    shard set.
 
-    ``fds`` maps each node of the set to its open shard file. A node's
-    rows are read on its first use, so a repair reads only the shards of
-    its read set.
+    ``fds`` maps each node of the set to its open shard file. A column of
+    a node is read on its first use, with one ``pread`` of its segment,
+    and kept for the block, so a repair reads exactly its read set: the
+    columns it uses of the shards it uses.
     """
 
     def __init__(self, shard_set: ShardSet, fds: dict[int, int], stripes: range):
         self._set = shard_set
         self._fds = fds
         self._stripes = stripes
-        self._rows: dict[int, np.ndarray] = {}
+        self._cols: dict[tuple[int, int], np.ndarray] = {}
+        self._segments = None  # the same in every shard of a set
 
-    def rows(self, node: int) -> np.ndarray:
-        """Node's symbols over the block as an (s+1, len(stripes)) view."""
-        if node not in self._set:
-            raise RepairError(
-                f"shard for node {node} is not available{self._set.note()}"
-            )
-        if node not in self._rows:
+    def __call__(self, node: int, col: int) -> np.ndarray:
+        """Node's symbols of column ``col`` over the block, contiguous."""
+        key = (node, col)
+        if key not in self._cols:
+            if node not in self._set:
+                raise RepairError(
+                    f"shard for node {node} is not available{self._set.note()}"
+                )
             header, path = self._set[node]
-            size, count = header.row_bytes, len(self._stripes)
-            blob = _pread(
-                self._fds[node], count * size, HEADER_SIZE + self._stripes.start * size,
-                path,
-            )
-            arr = np.frombuffer(blob, dtype=header.dtype)
-            self._rows[node] = arr.reshape(count, header.s + 1).T
-        return self._rows[node]
-
-    def __call__(self, node: int, col: int):
-        return self.rows(node)[col - 1]
+            if self._segments is None:
+                self._segments = header.segments(self._stripes)
+            offset, size = self._segments[col - 1]
+            symbols = np.empty(size // header.symbol_bytes, header.dtype)
+            _pread(self._fds[node], symbols, offset, path)
+            self._cols[key] = symbols
+        return self._cols[key]
 
 
-def _payload_from_row(header: ShardHeader, row) -> bytes:
-    return np.stack(row, axis=1).astype(header.dtype, copy=False).tobytes()
+def _payload_from_row(header: ShardHeader, row) -> list[np.ndarray]:
+    """A node's row of a block as its s+1 column segments: contiguous
+    arrays in the shard dtype."""
+    return [np.ascontiguousarray(col, dtype=header.dtype) for col in row]
 
 
 def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     """Stripe, encode and write all n shards for a file."""
-    if params.family != CodeParams.family:  # the v1 header has no family field
-        raise ParameterError(f"shard format v1 cannot store family {params.family!r}")
+    if params.family != CodeParams.family:  # the header has no family field
+        raise ParameterError(f"shard format v2 cannot store family {params.family!r}")
     out_dir = Path(out_dir)
     with open(in_path, "rb", buffering=0) as src:
         out_dir.mkdir(parents=True, exist_ok=True)  # a missing input makes no dir
@@ -434,13 +481,26 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         )
         headers = [replace(sample, node_index=node) for node in range(1, params.n + 1)]
 
+        # each thread transposes its blocks into one column buffer that it
+        # keeps, reading the file a piece at a time: no block allocates,
+        # faults in and frees a block-sized array
+        buffers = threading.local()
+        piece = max(1, _PIECE_BYTES // stripe_bytes)
+
         def encode_block(stripes: range, fds: list[int]):
-            start, size = stripes.start * stripe_bytes, len(stripes) * stripe_bytes
-            blob = _pread(src.fileno(), min(size, length - start), start, in_path)
-            if len(blob) < size:
-                blob += bytes(size - len(blob))  # zero padding of the last stripe
-            table = np.frombuffer(blob, dtype=sample.dtype).reshape(len(stripes), ds)
-            grid = stripe.encode_stripe(params, list(np.ascontiguousarray(table.T)))
+            count = len(stripes)
+            if getattr(buffers, "count", -1) < count:
+                buffers.count = count
+                buffers.columns = np.empty((ds, count), sample.dtype)
+            columns = buffers.columns[:, :count]
+            for a in range(0, count, piece):
+                rows = np.zeros((min(piece, count - a), ds), sample.dtype)
+                flat = rows.reshape(-1).view(np.uint8)
+                start = (stripes.start + a) * stripe_bytes
+                # past the end of the file, the last stripe stays zero
+                _pread(src.fileno(), flat[: length - start], start, in_path)
+                columns[:, a : a + len(rows)] = rows.T
+            grid = stripe.encode_stripe(params, list(columns))
             for header, fd, row in zip(headers, fds, grid.cells):
                 _write_row(fd, header, stripes, list(row))
 
@@ -453,20 +513,16 @@ def decode_file(in_dir, out_path) -> int:
     shard_set = load_shard_set(in_dir)
     header = next(iter(shard_set.values()))[0]
     params = header.params()
-    stripe_bytes = header.symbols_per_stripe * header.symbol_bytes
+    stripe_bytes = header.stripe_bytes
     length = header.original_length
+    cols = range(1, params.s + 2)
     with _shortfall_noted(shard_set):
         stripe.require_rows(params, len(shard_set))
         with _open_shards(shard_set) as fds, _atomic_files([Path(out_path)]) as (out,):
 
             def decode_block(stripes: range):
                 reader = ShardReader(shard_set, fds, stripes)
-                # decode multiplies every column: one transposing copy per
-                # shard beats a strided gather in each multiply
-                rows = {
-                    node: list(np.ascontiguousarray(reader.rows(node)))
-                    for node in shard_set
-                }
+                rows = {node: [reader(node, col) for col in cols] for node in shard_set}
                 data = stripe.decode_from_k(params, rows)
                 table = np.stack(data, axis=1).astype(header.dtype, copy=False)
                 start = stripes.start * stripe_bytes

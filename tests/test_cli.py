@@ -136,6 +136,26 @@ def test_corrupt_header_exit_3(tmp_path, capsys):
     assert err["error"] == "data" and "header" in err["message"]
 
 
+def test_version_1_shard_exit_3(tmp_path, capsys):
+    src = write_file(tmp_path, 500, seed=4)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(CodeParams(8, 6, 1, 3, w=8), src, out_dir)
+    for path in out_dir.iterdir():
+        blob = bytearray(path.read_bytes())
+        blob[4] = 1  # the version byte
+        path.write_bytes(bytes(blob))
+    capsys.readouterr()
+    code = run(["decode", "--in-dir", out_dir, "--out", tmp_path / "out.bin"])
+    assert code == 3
+    lines = capsys.readouterr().err.strip().split("\n")
+    assert len(lines) == 1
+    err = json.loads(lines[0])
+    assert err["error"] == "data"
+    assert "version 1 is no longer readable" in err["message"]
+    assert "re-encode" in err["message"]
+    assert not (tmp_path / "out.bin").exists()
+
+
 @pytest.mark.parametrize("fields", [dict(w=12), dict(k=8), dict(k=9)],
                          ids=["w12", "k_eq_n", "k_gt_n"])
 def test_header_without_valid_code_exit_3(tmp_path, capsys, fields):

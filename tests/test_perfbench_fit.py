@@ -58,27 +58,48 @@ def test_sweep_cycle_clears_the_caches_run_reports(bench, tmp_path):
 
 def test_tracer_follows_blocks_on_the_pool(bench, tmp_path, monkeypatch):
     # the shard path packs each block's rows in the pool's threads; every
-    # wrapped call there must pop what it pushed on the tracer's stack
+    # wrapped call there must pop what it pushed on the tracer's stack.
+    # Every writer (encode, repair, recover) packs through
+    # shards._payload_from_row: one that went round it would leave the
+    # shards.pack span at 0 without an error.
     tracing = bench["tracing"]
     params = CodeParams(8, 6, 1, 3, w=8)
     monkeypatch.setattr(shards, "BLOCK_BYTES", 90)  # 10 stripes per block
     src = tmp_path / "input.bin"
     src.write_bytes(bytes(range(256)) * 20)
+    out = tmp_path / "shards"
     read_bytes = tracing.ReadBytes()
     tracer = tracing.Tracer(read_bytes)
+    packs = {}
+
+    def traced(op_id, name, call):
+        before = tracer.calls("shards.pack")
+        tracer.begin_op(op_id, name)
+        call()
+        tracer.end_op()
+        packs[name] = tracer.calls("shards.pack") - before
+
     try:
         tracer.install()
-        tracer.begin_op(0, "encode")
-        shards.encode_file(params, src, tmp_path / "shards")
-        tracer.end_op()
-        tracer.begin_op(1, "decode")
-        shards.decode_file(tmp_path / "shards", tmp_path / "out.bin")
-        tracer.end_op()
+        traced(0, "encode", lambda: shards.encode_file(params, src, out))
+        traced(1, "decode", lambda: shards.decode_file(out, tmp_path / "out.bin"))
+        (out / shards.shard_filename(1)).unlink()
+        traced(2, "repair", lambda: shards.repair_shard(out, 1))
+        for node in (1, 2):
+            (out / shards.shard_filename(node)).unlink()
+        traced(3, "recover", lambda: shards.recover_shards(out, [1, 2]))
     finally:
         tracer.uninstall()
         read_bytes.close()
     assert tracer.stack == [tracer.root]
     assert tracer.calls("shards.encode_file") == tracer.calls("shards.decode_file") == 1
+    assert tracer.calls("shards.repair_shard") == tracer.calls("shards.recover_shards") == 1
     # 57 blocks of n rows; the tracer's unlocked counters may drop a few
-    assert tracer.calls("shards.pack") > params.n
+    assert packs["encode"] > params.n
+    assert packs["decode"] == 0
+    assert packs["repair"] == 57  # one row per block, all on the caller's thread
+    assert packs["recover"] > 0
     assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    assert sorted(path.name for path in out.iterdir()) == [
+        shards.shard_filename(node) for node in range(1, params.n + 1)
+    ]

@@ -59,6 +59,28 @@ class TestHeader:
         with pytest.raises(DataError):
             ShardHeader.unpack(blob[:10])
 
+    def test_version_1_asks_for_a_re_encode(self):
+        blob = header().pack()
+        with pytest.raises(DataError, match="version 1 is no longer readable.*re-encode"):
+            ShardHeader.unpack(blob[:4] + b"\x01" + blob[5:])
+
+    def test_segments_tile_the_payload(self, monkeypatch):
+        # chunks of 5 stripes over 12: each column of a chunk is one run,
+        # and the runs of all chunks cover the payload once, in order
+        hdr = header()
+        monkeypatch.setattr(shards, "CHUNK_BYTES", 5 * hdr.stripe_bytes)
+        assert hdr.chunk_stripes == 5
+        runs = [run for c in (0, 5, 10) for run in hdr.segments(range(c, min(c + 5, 12)))]
+        # stripes 6-7: after chunk 0 (10 B), then after chunk 1's column 1
+        assert hdr.segments(range(6, 8)) == [
+            (HEADER_SIZE + 10 + 1, 2), (HEADER_SIZE + 10 + 5 + 1, 2)
+        ]
+        with pytest.raises(ValueError, match="one chunk"):
+            hdr.segments(range(4, 6))
+        ends = [HEADER_SIZE] + [offset + size for offset, size in runs]
+        assert [offset for offset, _ in runs] == ends[:-1]
+        assert ends[-1] == HEADER_SIZE + hdr.payload_bytes
+
     def test_design_byte_consistency(self):
         with pytest.raises(DataError, match="design"):
             ShardHeader.unpack(header(design=2, kprime=3).pack())
@@ -98,23 +120,30 @@ def test_encode_decode_identity(tmp_path, design, params, w, size):
     assert out.read_bytes() == src.read_bytes()
 
 
-def reference_payloads(p, raw):
-    """Shard payloads from a per-stripe encode on plain ints."""
+def reference_payloads(p, raw, chunk):
+    """Shard payloads in the v2 layout from a per-stripe encode on plain
+    ints: for each run of ``chunk`` stripes, column 1 of every stripe of
+    the run, then column 2, up to column s+1."""
     sym = p.w // 8
     stripe_bytes = p.data_symbols * sym
     count = -(-len(raw) // stripe_bytes)
     raw += bytes(count * stripe_bytes - len(raw))
     design = design2 if p.kprime == 0 else design1
-    payloads = {node: bytearray() for node in range(1, p.n + 1)}
+    rows = {node: [] for node in range(1, p.n + 1)}
     for start in range(0, len(raw), stripe_bytes):
         data = [
             int.from_bytes(raw[i : i + sym], "little")
             for i in range(start, start + stripe_bytes, sym)
         ]
         grid = design.encode_stripe(p, data)
-        for node, payload in payloads.items():
-            for v in grid.row(node):
-                payload += v.to_bytes(sym, "little")
+        for node, node_rows in rows.items():
+            node_rows.append(grid.row(node))
+    payloads = {node: bytearray() for node in rows}
+    for node, payload in payloads.items():
+        for first in range(0, count, chunk):
+            for col in range(p.s + 1):
+                for row in rows[node][first : first + chunk]:
+                    payload += row[col].to_bytes(sym, "little")
     return payloads
 
 
@@ -124,12 +153,17 @@ def reference_payloads(p, raw):
     dict(n=7, k=5, s=2, kprime=0),
 ])
 @pytest.mark.parametrize("w", [8, 16])
-def test_encode_matches_scalar_reference(tmp_path, params, w):
+def test_encode_matches_scalar_reference(tmp_path, monkeypatch, params, w):
     p = CodeParams(w=w, **params)
+    stripe_bytes = p.data_symbols * (w // 8)
+    count = -(-1501 // stripe_bytes)
+    chunk = count // 3 + 1
+    assert count > 2 * chunk and count % chunk  # 3 chunks, the last one short
+    monkeypatch.setattr(shards, "CHUNK_BYTES", chunk * stripe_bytes)
     src = write_file(tmp_path, 1501, seed=w)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
-    want = reference_payloads(p, src.read_bytes())
+    want = reference_payloads(p, src.read_bytes(), chunk)
     for node in range(1, p.n + 1):
         _, payload = shards.read_shard(out_dir / shards.shard_filename(node))
         assert payload == want[node], node
@@ -532,7 +566,7 @@ def flip_in_last_block(path, p):
     first = (hdr.stripe_count - 1) // BLOCK_STRIPES * BLOCK_STRIPES
     assert first > 0
     blob = bytearray(path.read_bytes())
-    blob[HEADER_SIZE + first * hdr.row_bytes] ^= 0x21
+    blob[hdr.segments(range(first, first + 1))[0][0]] ^= 0x21
     path.write_bytes(bytes(blob))
 
 
@@ -598,6 +632,42 @@ def test_blocked_repair_falls_back_when_read_set_shard_left_out(tmp_path, monkey
     assert sorted(path.name for path in out_dir.iterdir()) == [
         shards.shard_filename(f) for f in range(1, 9)
     ]
+
+
+@pytest.mark.parametrize("params,w", [
+    (dict(n=14, k=10, s=2, kprime=0), 8),
+    (dict(n=14, k=10, s=2, kprime=10), 16),
+    (dict(n=8, k=6, s=1, kprime=3), 8),
+], ids=["design2", "design1_mds", "design1"])
+def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
+    # 13 stripes in chunks of 5, blocks of 2: blocks split chunks and the
+    # last chunk is short. A repair's payload reads are its bandwidth in
+    # symbols per stripe, and no more.
+    p = CodeParams(w=w, **params)
+    stripe_bytes = p.data_symbols * (w // 8)
+    monkeypatch.setattr(shards, "CHUNK_BYTES", 5 * stripe_bytes)
+    monkeypatch.setattr(shards, "BLOCK_BYTES", 2 * stripe_bytes)
+    src = write_file(tmp_path, 13 * stripe_bytes - 1, seed=w)
+    out_dir = tmp_path / "shards"
+    paths = shards.encode_file(p, src, out_dir)
+    assert [len(b) for b in shards._blocks(shards.load_shard_set(out_dir)[1][0])] == [
+        2, 2, 1, 2, 2, 1, 2, 1
+    ]
+    read = []
+    pread = shards._pread
+
+    def counted(fd, out, offset, name):
+        pread(fd, out, offset, name)
+        read.append(out.nbytes)
+
+    monkeypatch.setattr(shards, "_pread", counted)
+    for node, path in enumerate(paths, 1):
+        original = path.read_bytes()
+        path.unlink()
+        read.clear()
+        hdr, report = shards.repair_shard(out_dir, node)
+        assert path.read_bytes() == original, node
+        assert sum(read) == report.bandwidth * hdr.stripe_count * (w // 8), node
 
 
 # peak RSS of the child alone: ru_maxrss would carry over the peak of the
