@@ -10,17 +10,18 @@ reads that column alone. A shard whose size does not match its header is
 left out of the set, like an absent one; a v1 shard (each stripe's s+1
 symbols side by side) is refused with a request to re-encode.
 
-Piggyback sums and repair read sets never cross a stripe, so every
-operation runs in blocks of about ``BLOCK_BYTES`` of file data, each
-inside one chunk. A block is one contiguous byte range in the input file
-and in the decoded file, and one segment per column in every shard
-(``ShardHeader.segments``). Its columns are ``os.pread`` from the shards it
-needs, run through the stripe engine as numpy vectors, and ``os.pwrite``
-at their segments into temp files that replace their targets only when
-every block succeeded. Blocks run on one shared pool with a thread per
-CPU in the affinity mask, since numpy's gathers and XORs release the GIL;
-memory grows with the worker count, not with the file size. Encode reads
-the input a piece at a time into a column buffer that each thread keeps.
+Piggyback sums and repair read sets never cross a stripe, so the chunk
+is also the unit of I/O, of memory and of work: every operation runs chunk
+by chunk (``ShardHeader.chunks``). A chunk is one contiguous byte range in
+the input file and in the decoded file, and one segment per column in
+every shard (``ShardHeader.segments``). Its columns are ``os.pread`` from
+the shards it needs, run through the stripe engine as numpy vectors, and
+``os.pwrite`` at their segments into temp files that replace their
+targets only when every chunk succeeded. Chunks run on one shared pool
+with a thread per CPU in the affinity mask, since numpy's gathers and XORs
+release the GIL; memory grows with the worker count, not with the file
+size. Encode reads the input a piece at a time into a column buffer that
+each thread keeps.
 """
 
 from __future__ import annotations
@@ -52,7 +53,8 @@ _HEADER_FMT = "<4sBBHHHHBHQQ"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
 CHUNK_BYTES = 1 << 20
 """File data per chunk of the payload: a format constant, since it fixes
-where each column segment lies."""
+where each column segment lies, and the unit of I/O, memory and work of
+every shard operation."""
 
 
 @dataclass(frozen=True)
@@ -112,10 +114,11 @@ class ShardHeader:
             hdr.params()
         except ParameterError as exc:
             raise DataError(f"corrupt header: {exc}") from exc
-        data_bytes = stripes * hdr.stripe_bytes
-        if length > data_bytes:
+        need = -(-length // hdr.stripe_bytes)
+        if stripes != need:
             raise DataError(
-                f"corrupt header: original_length {length} exceeds capacity {data_bytes}"
+                f"corrupt header: original_length {length} needs {need} stripes, "
+                f"header has {stripes}"
             )
         if not 1 <= node <= n:
             raise DataError(f"corrupt header: node_index {node} out of [1, {n}]")
@@ -147,24 +150,19 @@ class ShardHeader:
     def dtype(self):
         return np.dtype("<u1") if self.w == 8 else np.dtype("<u2")
 
-    @property
-    def chunk_stripes(self) -> int:
-        return max(1, CHUNK_BYTES // self.stripe_bytes)
+    def chunks(self) -> list[range]:
+        """Stripe ranges of the payload's chunks, of ``CHUNK_BYTES`` of file
+        data each but the last; one, maybe empty, at least."""
+        step, count = max(1, CHUNK_BYTES // self.stripe_bytes), self.stripe_count
+        return [range(a, min(a + step, count)) for a in range(0, count, step)] or [range(0)]
 
-    def segments(self, stripes: range) -> list[tuple[int, int]]:
-        """File (offset, size) of each column 1..s+1's symbols of ``stripes``.
-
-        The stripes must lie inside one chunk. A chunk holds its column 1
-        for every stripe, then its column 2, and so on to s+1.
-        """
-        chunk = self.chunk_stripes
-        first = stripes.start - stripes.start % chunk
-        held = min(chunk, self.stripe_count - first)  # stripes in the chunk
-        if stripes.stop > first + held:
-            raise ValueError(f"stripes {stripes} do not lie in one chunk")
-        sym = self.symbol_bytes
-        start = HEADER_SIZE + first * self.row_bytes + (stripes.start - first) * sym
-        return [(start + col * held * sym, len(stripes) * sym) for col in range(self.s + 1)]
+    def segments(self, chunk: range) -> list[tuple[int, int]]:
+        """File (offset, size) of each column 1..s+1's segment of ``chunk``,
+        one of ``chunks()``: its column 1 for every stripe, then its column
+        2, and so on to s+1."""
+        size = len(chunk) * self.symbol_bytes
+        start = HEADER_SIZE + chunk.start * self.row_bytes
+        return [(start + col * size, size) for col in range(self.s + 1)]
 
     def params(self) -> CodeParams:
         return CodeParams(n=self.n, k=self.k, s=self.s, kprime=self.kprime, w=self.w)
@@ -177,9 +175,7 @@ def shard_filename(node: int) -> str:
     return f"shard_{node:04d}.pgb"
 
 
-BLOCK_BYTES = 1 << 20
-"""File data per block: the unit of I/O, of memory and of work per thread."""
-_PIECE_BYTES = 1 << 16  # file data per read of an encode block
+_PIECE_BYTES = 1 << 16  # file data per read of an encode chunk
 
 _pool: ThreadPoolExecutor | None = None
 _pool_lock = threading.Lock()
@@ -202,32 +198,20 @@ def _executor() -> ThreadPoolExecutor:
         return _pool
 
 
-def _blocks(header: ShardHeader) -> list[range]:
-    """Stripe ranges of about BLOCK_BYTES of file data, none crossing a
-    chunk; one, maybe empty, at least."""
-    step = max(1, BLOCK_BYTES // header.stripe_bytes)
-    chunk, count = header.chunk_stripes, header.stripe_count
-    return [
-        range(a, min(a + step, c + chunk, count))
-        for c in range(0, count, chunk)
-        for a in range(c, min(c + chunk, count), step)
-    ] or [range(0)]
+def _run_blocks(task, chunks: list[range], helped: bool = True) -> list:
+    """``task(stripes)`` for every chunk; results in chunk order.
 
-
-def _run_blocks(task, blocks: list[range], helped: bool = True) -> list:
-    """``task(stripes)`` for every block; results in block order.
-
-    The caller's thread takes the blocks one at a time, and when
+    The caller's thread takes the chunks one at a time, and when
     ``helped``, up to one pool thread per other CPU joins in. The caller
-    never waits for a thread to wake before work starts, a single block
-    never leaves it, and a busy pool only leaves it more blocks. After a
-    failure no block starts; the failure is raised once every started
-    block has finished, so nothing a block uses is closed or removed under
+    never waits for a thread to wake before work starts, a single chunk
+    never leaves it, and a busy pool only leaves it more chunks. After a
+    failure no chunk starts; the failure is raised once every started
+    chunk has finished, so nothing a chunk uses is closed or removed under
     it. Helpers never submit to the pool, so it cannot wait on itself.
     """
-    results: list = [None] * len(blocks)
+    results: list = [None] * len(chunks)
     failures: list[BaseException] = []
-    order = iter(range(len(blocks)))
+    order = iter(range(len(chunks)))
     lock = threading.Lock()
 
     def drain():
@@ -237,12 +221,12 @@ def _run_blocks(task, blocks: list[range], helped: bool = True) -> list:
             if i is None:
                 return
             try:
-                results[i] = task(blocks[i])
+                results[i] = task(chunks[i])
             except BaseException as exc:
                 with lock:
                     failures.append(exc)
 
-    count = min(_cpus(), len(blocks)) - 1 if helped else 0
+    count = min(_cpus(), len(chunks)) - 1 if helped else 0
     helpers = [_executor().submit(drain) for _ in range(count)]
     try:
         drain()
@@ -316,19 +300,19 @@ def _atomic_files(paths: list[Path]):
 def _write_shards(
     out_dir: Path, headers: list[ShardHeader], task, helped: bool = True
 ) -> list:
-    """Write a shard per header, block by block; ``task(stripes, fds)`` fills
-    each block, fds in header order. Returns the tasks' results; ``helped``
+    """Write a shard per header, chunk by chunk; ``task(stripes, fds)`` fills
+    each chunk, fds in header order. Returns the tasks' results; ``helped``
     is passed to ``_run_blocks``."""
     paths = [out_dir / shard_filename(header.node_index) for header in headers]
     with _atomic_files(paths) as fds:
         for header, fd in zip(headers, fds):
             _pwrite(fd, header.pack(), 0)
-        blocks = _blocks(headers[0])
-        return _run_blocks(lambda stripes: task(stripes, fds), blocks, helped)
+        chunks = headers[0].chunks()
+        return _run_blocks(lambda stripes: task(stripes, fds), chunks, helped)
 
 
 def _write_row(fd: int, header: ShardHeader, stripes: range, row):
-    """Store one node's row of the block's stripes, one write per column."""
+    """Store one node's row of a chunk, one write per column."""
     columns = _payload_from_row(header, row)
     for symbols, (offset, _) in zip(columns, header.segments(stripes)):
         _pwrite(fd, symbols, offset)
@@ -418,42 +402,34 @@ def load_shard_set(in_dir) -> ShardSet:
 
 
 class ShardReader:
-    """Cell reader over the stripes ``stripes``, inside one chunk, of a
-    shard set.
+    """Cell reader over one chunk, ``stripes``, of a shard set.
 
-    ``fds`` maps each node of the set to its open shard file. A column of
-    a node is read on its first use, with one ``pread`` of its segment,
-    and kept for the block, so a repair reads exactly its read set: the
-    columns it uses of the shards it uses.
+    ``fds`` maps each node of the set to its open shard file. Each call
+    reads one column of one node with a ``pread`` of its segment. Decode
+    asks for each cell once, and repair and recover read through
+    ``ReadTracker``, which asks once per cell, so a repair reads exactly its
+    read set: the columns it uses of the shards it uses.
     """
 
     def __init__(self, shard_set: ShardSet, fds: dict[int, int], stripes: range):
         self._set = shard_set
         self._fds = fds
-        self._stripes = stripes
-        self._cols: dict[tuple[int, int], np.ndarray] = {}
-        self._segments = None  # the same in every shard of a set
+        # the same in every shard of a set
+        self._segments = next(iter(shard_set.values()))[0].segments(stripes)
 
     def __call__(self, node: int, col: int) -> np.ndarray:
-        """Node's symbols of column ``col`` over the block, contiguous."""
-        key = (node, col)
-        if key not in self._cols:
-            if node not in self._set:
-                raise RepairError(
-                    f"shard for node {node} is not available{self._set.note()}"
-                )
-            header, path = self._set[node]
-            if self._segments is None:
-                self._segments = header.segments(self._stripes)
-            offset, size = self._segments[col - 1]
-            symbols = np.empty(size // header.symbol_bytes, header.dtype)
-            _pread(self._fds[node], symbols, offset, path)
-            self._cols[key] = symbols
-        return self._cols[key]
+        """Node's symbols of column ``col`` over the chunk, contiguous."""
+        if node not in self._set:
+            raise RepairError(f"shard for node {node} is not available{self._set.note()}")
+        header, path = self._set[node]
+        offset, size = self._segments[col - 1]
+        symbols = np.empty(size // header.symbol_bytes, header.dtype)
+        _pread(self._fds[node], symbols, offset, path)
+        return symbols
 
 
 def _payload_from_row(header: ShardHeader, row) -> list[np.ndarray]:
-    """A node's row of a block as its s+1 column segments: contiguous
+    """A node's row of a chunk as its s+1 column segments: contiguous
     arrays in the shard dtype."""
     return [np.ascontiguousarray(col, dtype=header.dtype) for col in row]
 
@@ -481,13 +457,13 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         )
         headers = [replace(sample, node_index=node) for node in range(1, params.n + 1)]
 
-        # each thread transposes its blocks into one column buffer that it
-        # keeps, reading the file a piece at a time: no block allocates,
-        # faults in and frees a block-sized array
+        # each thread transposes its chunks into one column buffer that it
+        # keeps, reading the file a piece at a time: no chunk allocates,
+        # faults in and frees a chunk-sized array
         buffers = threading.local()
         piece = max(1, _PIECE_BYTES // stripe_bytes)
 
-        def encode_block(stripes: range, fds: list[int]):
+        def encode_chunk(stripes: range, fds: list[int]):
             count = len(stripes)
             if getattr(buffers, "count", -1) < count:
                 buffers.count = count
@@ -504,7 +480,7 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
             for header, fd, row in zip(headers, fds, grid.cells):
                 _write_row(fd, header, stripes, list(row))
 
-        _write_shards(out_dir, headers, encode_block)
+        _write_shards(out_dir, headers, encode_chunk)
     return [out_dir / shard_filename(header.node_index) for header in headers]
 
 
@@ -520,7 +496,7 @@ def decode_file(in_dir, out_path) -> int:
         stripe.require_rows(params, len(shard_set))
         with _open_shards(shard_set) as fds, _atomic_files([Path(out_path)]) as (out,):
 
-            def decode_block(stripes: range):
+            def decode_chunk(stripes: range):
                 reader = ShardReader(shard_set, fds, stripes)
                 rows = {node: [reader(node, col) for col in cols] for node in shard_set}
                 data = stripe.decode_from_k(params, rows)
@@ -528,25 +504,45 @@ def decode_file(in_dir, out_path) -> int:
                 start = stripes.start * stripe_bytes
                 _pwrite(out, table.reshape(-1).view(np.uint8)[: length - start], start)
 
-            _run_blocks(decode_block, _blocks(header))
+            _run_blocks(decode_chunk, header.chunks())
     return length
 
 
-def _recover_block(params: CodeParams, shard_set: ShardSet, fds, headers):
-    """Block task writing the recovered rows of ``headers``' nodes.
+def _survivors(in_dir: Path, nodes: list[int]):
+    """The shard set without ``nodes``, its code, and a header per node.
+
+    ``nodes`` are the shards to rebuild: they are checked against the code
+    before anything is written, and never read.
+    """
+    if not nodes:
+        raise ParameterError("no failed nodes given")
+    shard_set = load_shard_set(in_dir)
+    sample = next(iter(shard_set.values()))[0]
+    params = sample.params()
+    for node in nodes:
+        if not 1 <= node <= params.n:
+            raise ParameterError(f"node {node} out of [1, {params.n}]")
+        shard_set.pop(node, None)
+    if not shard_set:
+        raise InsufficientDataError("no surviving shards to rebuild from")
+    return shard_set, params, [replace(sample, node_index=node) for node in nodes]
+
+
+def _recover_chunk(params: CodeParams, shard_set: ShardSet, fds, headers):
+    """Chunk task writing the recovered rows of ``headers``' nodes.
 
     Every node absent from the set is recovered with them.
     """
     nodes = [header.node_index for header in headers]
     failed = nodes + [node for node in range(1, params.n + 1) if node not in shard_set]
 
-    def recover_block(stripes: range, outs: list[int]):
+    def recover_chunk(stripes: range, outs: list[int]):
         reader = ShardReader(shard_set, fds, stripes)
         rows = stripe.recover_nodes(params, failed, reader)
         for header, out in zip(headers, outs):
             _write_row(out, header, stripes, rows[header.node_index])
 
-    return recover_block
+    return recover_chunk
 
 
 def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
@@ -557,31 +553,23 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
     does; the report then lists every cell of those shards.
     """
     in_dir = Path(in_dir)
-    shard_set = load_shard_set(in_dir)
-    shard_set.pop(node, None)  # repair must not read the failed shard
-    if not shard_set:
-        raise InsufficientDataError("no surviving shards to repair from")
-    sample = next(iter(shard_set.values()))[0]
-    params = sample.params()
-    if not 1 <= node <= params.n:
-        raise ParameterError(f"node {node} out of [1, {params.n}]")
-    header = replace(sample, node_index=node)
+    shard_set, params, [header] = _survivors(in_dir, [node])
     with _open_shards(shard_set) as fds:
 
-        def repair_block(stripes: range, outs: list[int]):
+        def repair_chunk(stripes: range, outs: list[int]):
             reader = ShardReader(shard_set, fds, stripes)
             row, report = stripe.repair_node(params, node, reader)
             _write_row(outs[0], header, stripes, row)
             return report
 
-        # a repair block is a few reads and XORs: helper threads would
+        # a repair chunk is a few reads and XORs: helper threads would
         # add GIL hand-offs (repair p90 5.6 -> 12 ms on C(14,10,2,0) w=8
-        # with 2 CPUs) and no speed, so the caller runs every block
+        # with 2 CPUs) and no speed, so the caller runs every chunk
         try:
-            report = _write_shards(in_dir, [header], repair_block, helped=False)[0]
+            report = _write_shards(in_dir, [header], repair_chunk, helped=False)[0]
         except RepairError:
             with _shortfall_noted(shard_set):
-                task = _recover_block(params, shard_set, fds, [header])
+                task = _recover_chunk(params, shard_set, fds, [header])
                 _write_shards(in_dir, [header], task)
             reads = tuple(
                 (i, c) for i in sorted(shard_set) for c in range(1, params.s + 2)
@@ -599,14 +587,7 @@ def recover_shards(in_dir, nodes) -> list[int]:
     """
     in_dir = Path(in_dir)
     nodes = sorted(set(nodes))
-    shard_set = load_shard_set(in_dir)
-    for node in nodes:
-        shard_set.pop(node, None)
-    if not shard_set:
-        raise InsufficientDataError("no surviving shards to recover from")
-    sample = next(iter(shard_set.values()))[0]
-    params = sample.params()
-    headers = [replace(sample, node_index=node) for node in nodes]
+    shard_set, params, headers = _survivors(in_dir, nodes)
     with _open_shards(shard_set) as fds, _shortfall_noted(shard_set):
-        _write_shards(in_dir, headers, _recover_block(params, shard_set, fds, headers))
+        _write_shards(in_dir, headers, _recover_chunk(params, shard_set, fds, headers))
     return nodes

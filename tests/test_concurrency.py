@@ -1,4 +1,4 @@
-"""Shared instances and the shared block pool under concurrent traffic."""
+"""Shared instances and the shared worker pool under concurrent traffic."""
 
 import random
 import sys
@@ -46,10 +46,10 @@ def test_concurrent_recoveries_share_decode_cache():
 
 def test_concurrent_shard_operations_share_the_block_pool(tmp_path, monkeypatch):
     # 4 caller threads, each with its own directory of one of two codes,
-    # encode, repair and decode in many blocks through the one shared pool
+    # encode, repair and decode in many chunks through the one shared pool
     codes = [CodeParams(n=8, k=6, s=1, kprime=3, w=8),
              CodeParams(n=7, k=5, s=2, kprime=0, w=16)]
-    monkeypatch.setattr(shards, "BLOCK_BYTES", 64)
+    monkeypatch.setattr(shards, "CHUNK_BYTES", 64)
     inputs, expected = [], []
     for i, params in enumerate(codes):
         src = tmp_path / f"input{i}.bin"

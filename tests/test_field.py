@@ -13,7 +13,7 @@ from piggyback.field import (
     Field,
     carryless_mul,
 )
-from piggyback.shards import BLOCK_BYTES
+from piggyback.shards import CHUNK_BYTES
 
 
 def slow_mul(a, b, poly, w):
@@ -314,13 +314,13 @@ def per_row_dot(f, mat, symbols):
 @pytest.mark.parametrize("m", range(1, 10))
 def test_dots_matches_per_row_dot(w, m):
     # 1..9 rows crosses both group sizes (8 rows at w=8, 4 at w=16); the
-    # lengths are an empty file's block, one stripe, an odd count and the
-    # stripes of one block of C(14,10,2,0)
+    # lengths are an empty file's chunk, one stripe, an odd count and the
+    # stripes of one chunk of C(14,10,2,0)
     f = field(w)
     rng = random.Random(w * 100 + m)
     k = 5
     mat = dots_matrix(f, rng, m, k)
-    for size in (0, 1, 7, BLOCK_BYTES // (20 * w // 8)):
+    for size in (0, 1, 7, CHUNK_BYTES // (20 * w // 8)):
         arrays = [
             np.array([rng.randrange(f.q) for _ in range(size)], dtype=f.dtype)
             for _ in range(k)
@@ -337,7 +337,7 @@ def test_dots_matches_per_row_dot(w, m):
 
 @pytest.mark.parametrize("w", [8, 16])
 def test_dots_on_strided_column_views(w):
-    # ShardReader.rows hands out the rows of a transposed (stripes, s+1) table
+    # the columns of a (stripes, s+1) table are strided views
     f = field(w)
     rng = np.random.default_rng(w)
     table = rng.integers(0, f.q, (301, 6), dtype=f.dtype)

@@ -57,14 +57,14 @@ def test_sweep_cycle_clears_the_caches_run_reports(bench, tmp_path):
 
 
 def test_tracer_follows_blocks_on_the_pool(bench, tmp_path, monkeypatch):
-    # the shard path packs each block's rows in the pool's threads; every
+    # the shard path packs each chunk's rows in the pool's threads; every
     # wrapped call there must pop what it pushed on the tracer's stack.
     # Every writer (encode, repair, recover) packs through
     # shards._payload_from_row: one that went round it would leave the
     # shards.pack span at 0 without an error.
     tracing = bench["tracing"]
     params = CodeParams(8, 6, 1, 3, w=8)
-    monkeypatch.setattr(shards, "BLOCK_BYTES", 90)  # 10 stripes per block
+    monkeypatch.setattr(shards, "CHUNK_BYTES", 90)  # 10 stripes per chunk
     src = tmp_path / "input.bin"
     src.write_bytes(bytes(range(256)) * 20)
     out = tmp_path / "shards"
@@ -94,10 +94,10 @@ def test_tracer_follows_blocks_on_the_pool(bench, tmp_path, monkeypatch):
     assert tracer.stack == [tracer.root]
     assert tracer.calls("shards.encode_file") == tracer.calls("shards.decode_file") == 1
     assert tracer.calls("shards.repair_shard") == tracer.calls("shards.recover_shards") == 1
-    # 57 blocks of n rows; the tracer's unlocked counters may drop a few
+    # 57 chunks of n rows; the tracer's unlocked counters may drop a few
     assert packs["encode"] > params.n
     assert packs["decode"] == 0
-    assert packs["repair"] == 57  # one row per block, all on the caller's thread
+    assert packs["repair"] == 57  # one row per chunk, all on the caller's thread
     assert packs["recover"] > 0
     assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
     assert sorted(path.name for path in out.iterdir()) == [

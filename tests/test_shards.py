@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -69,17 +70,14 @@ class TestHeader:
         # and the runs of all chunks cover the payload once, in order
         hdr = header()
         monkeypatch.setattr(shards, "CHUNK_BYTES", 5 * hdr.stripe_bytes)
-        assert hdr.chunk_stripes == 5
-        runs = [run for c in (0, 5, 10) for run in hdr.segments(range(c, min(c + 5, 12)))]
-        # stripes 6-7: after chunk 0 (10 B), then after chunk 1's column 1
-        assert hdr.segments(range(6, 8)) == [
-            (HEADER_SIZE + 10 + 1, 2), (HEADER_SIZE + 10 + 5 + 1, 2)
-        ]
-        with pytest.raises(ValueError, match="one chunk"):
-            hdr.segments(range(4, 6))
+        assert hdr.chunks() == [range(0, 5), range(5, 10), range(10, 12)]
+        runs = [run for chunk in hdr.chunks() for run in hdr.segments(chunk)]
+        # chunk 1: after chunk 0 (10 B), its column 1, then its column 2
+        assert hdr.segments(range(5, 10)) == [(HEADER_SIZE + 10, 5), (HEADER_SIZE + 15, 5)]
         ends = [HEADER_SIZE] + [offset + size for offset, size in runs]
         assert [offset for offset, _ in runs] == ends[:-1]
         assert ends[-1] == HEADER_SIZE + hdr.payload_bytes
+        assert header(original_length=0, stripe_count=0).chunks() == [range(0)]
 
     def test_design_byte_consistency(self):
         with pytest.raises(DataError, match="design"):
@@ -448,6 +446,45 @@ def test_shortfall_names_left_out_shard(tmp_path):
     ]
 
 
+def test_header_claiming_extra_stripes_is_refused(tmp_path):
+    # a 100-byte file is 12 stripes; with headers claiming 300,012 and
+    # payloads to match, decode would start chunks past the end of the
+    # file and write them out
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 100, seed=20)
+    out_dir = tmp_path / "shards"
+    for path in shards.encode_file(p, src, out_dir):
+        hdr = replace(shards.read_shard(path)[0], stripe_count=300_012)
+        path.write_bytes(hdr.pack() + bytes(hdr.payload_bytes))
+    out = tmp_path / "out.bin"
+    with pytest.raises(DataError, match="original_length 100 needs 12 stripes"):
+        shards.decode_file(out_dir, out)
+    assert not out.exists()
+
+
+def test_rebuild_checks_nodes_before_writing(tmp_path, monkeypatch):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 100, seed=21)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    (out_dir / shards.shard_filename(2)).unlink()
+    before = {f.name: f.read_bytes() for f in out_dir.iterdir()}
+
+    def no_write(paths):
+        raise AssertionError(f"a file was opened to write {paths}")
+
+    monkeypatch.setattr(shards, "_atomic_files", no_write)
+    with pytest.raises(ParameterError, match="no failed nodes given"):
+        shards.recover_shards(tmp_path / "nowhere", [])  # before any shard is read
+    with pytest.raises(ParameterError, match="no failed nodes given"):
+        shards.recover_shards(out_dir, [])
+    with pytest.raises(ParameterError, match=r"node 9 out of \[1, 8\]"):
+        shards.recover_shards(out_dir, [2, 9])
+    with pytest.raises(ParameterError, match=r"node 0 out of \[1, 8\]"):
+        shards.repair_shard(out_dir, 0)
+    assert {f.name: f.read_bytes() for f in out_dir.iterdir()} == before
+
+
 def test_shard_reader_missing_node(tmp_path):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 100, seed=10)
@@ -494,20 +531,21 @@ def test_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     assert path.read_bytes() == hdr.pack() + b"a" * 24
 
 
-# -- blocks ------------------------------------------------------------------
+# -- chunks ------------------------------------------------------------------
 
-BLOCK_STRIPES = 4  # stripes per block in the multi-block runs below
+CHUNK_STRIPES = 4  # stripes per chunk in the multi-chunk runs below
 
 
-def small_blocks(monkeypatch, p):
+def small_chunks(monkeypatch, p):
     stripe_bytes = p.data_symbols * (p.w // 8)
-    monkeypatch.setattr(shards, "BLOCK_BYTES", BLOCK_STRIPES * stripe_bytes)
+    monkeypatch.setattr(shards, "CHUNK_BYTES", CHUNK_STRIPES * stripe_bytes)
 
 
 def every_output(p, src, out_dir):
-    """Bytes of every shard-path output: the encoded shards, each shard
-    repaired, r and r+1 lost shards recovered, and decodes with them lost
-    (an error's type and message where the pattern is not supported)."""
+    """Every shard-path output: the encoded shards; for each shard
+    repaired, and for r and r+1 lost shards recovered, whether the result
+    equals them (with the repair's report); and decodes with them lost.
+    An error's type and message stand in where a pattern is not supported."""
     out = {}
     paths = shards.encode_file(p, src, out_dir)
     original = {node: path.read_bytes() for node, path in enumerate(paths, 1)}
@@ -515,13 +553,15 @@ def every_output(p, src, out_dir):
     for node, path in enumerate(paths, 1):
         path.unlink()
         _, report = shards.repair_shard(out_dir, node)
-        out[f"repair {node}"] = (path.read_bytes(), report)
+        out[f"repair {node}"] = (path.read_bytes() == original[node], report)
     for lost in (list(range(1, p.n + 1, 2))[: p.r], list(range(1, p.n + 1, 2))[: p.r + 1]):
         for node in lost:
             paths[node - 1].unlink()
         try:
             shards.recover_shards(out_dir, lost)
-            out[f"recover {lost}"] = [paths[node - 1].read_bytes() for node in lost]
+            out[f"recover {lost}"] = all(
+                paths[node - 1].read_bytes() == original[node] for node in lost
+            )
         except (DataError, UnsupportedPatternError) as exc:
             out[f"recover {lost}"] = f"{type(exc).__name__}: {exc}"
         for node in lost:
@@ -544,36 +584,45 @@ def every_output(p, src, out_dir):
 ], ids=["design1", "design1_mds", "design2"])
 @pytest.mark.parametrize("w", [8, 16])
 @pytest.mark.parametrize("stripes", [
-    0, 1, BLOCK_STRIPES - 1, BLOCK_STRIPES, BLOCK_STRIPES + 1, 3 * BLOCK_STRIPES + 1,
+    0, 1, CHUNK_STRIPES - 1, CHUNK_STRIPES, CHUNK_STRIPES + 1, 3 * CHUNK_STRIPES + 1,
 ])
 def test_blocks_match_one_block(tmp_path, monkeypatch, params, w, stripes):
-    # every file but the empty one ends inside its last stripe
+    # every file but the empty one ends inside its last stripe; one chunk
+    # at the default size, chunks of CHUNK_STRIPES after small_chunks
     p = CodeParams(w=w, **params)
     stripe_bytes = p.data_symbols * (w // 8)
     src = write_file(tmp_path, max(0, stripes * stripe_bytes - 1), seed=stripes + w)
+    raw = src.read_bytes()
     whole = every_output(p, src, tmp_path / "whole")
-    small_blocks(monkeypatch, p)
-    assert len(shards._blocks(shards.load_shard_set(tmp_path / "whole")[1][0])) == max(
-        1, -(-stripes // BLOCK_STRIPES)
+    small_chunks(monkeypatch, p)
+    assert len(shards.load_shard_set(tmp_path / "whole")[1][0].chunks()) == max(
+        1, -(-stripes // CHUNK_STRIPES)
     )
-    assert every_output(p, src, tmp_path / "blocks") == whole
-    assert whole[f"decode {list(range(1, p.n + 1, 2))[: p.r]}"] == src.read_bytes()
+    chunked = every_output(p, src, tmp_path / "chunks")
+    for out, chunk in ((whole, max(1, stripes)), (chunked, CHUNK_STRIPES)):
+        want = reference_payloads(p, raw, chunk)
+        assert {node: blob[HEADER_SIZE:] for node, blob in out.pop("encode").items()} == want
+    assert chunked == whole
+    assert all(whole[f"repair {node}"][0] for node in range(1, p.n + 1))
+    lost = list(range(1, p.n + 1, 2))[: p.r]
+    assert whole[f"recover {lost}"] is True
+    assert whole[f"decode {lost}"] == raw
 
 
 def flip_in_last_block(path, p):
-    """Flip one payload byte of the last block's first stripe."""
+    """Flip one payload byte of the last chunk's first stripe."""
     hdr, _ = shards.read_shard(path)
-    first = (hdr.stripe_count - 1) // BLOCK_STRIPES * BLOCK_STRIPES
-    assert first > 0
+    last = hdr.chunks()[-1]
+    assert last.start > 0
     blob = bytearray(path.read_bytes())
-    blob[hdr.segments(range(first, first + 1))[0][0]] ^= 0x21
+    blob[hdr.segments(last)[0][0]] ^= 0x21
     path.write_bytes(bytes(blob))
 
 
 def test_corruption_in_last_block_writes_nothing(tmp_path, monkeypatch):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
-    small_blocks(monkeypatch, p)
-    src = write_file(tmp_path, 3 * BLOCK_STRIPES * 9 + 5, seed=17)
+    small_chunks(monkeypatch, p)
+    src = write_file(tmp_path, 3 * CHUNK_STRIPES * 9 + 5, seed=17)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
     flip_in_last_block(out_dir / shards.shard_filename(3), p)
@@ -589,26 +638,26 @@ def test_corruption_in_last_block_writes_nothing(tmp_path, monkeypatch):
 
 
 def test_failed_block_cancels_queued_and_waits_for_running(tmp_path, monkeypatch):
-    # the first block fails at once while the others take a while: decode
-    # raises only after every block that started has finished, and the
-    # blocks still queued never start
+    # the first chunk fails at once while the others take a while: decode
+    # raises only after every chunk that started has finished, and the
+    # chunks still queued never start
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
-    src = write_file(tmp_path, 20 * BLOCK_STRIPES * 9, seed=19)
+    small_chunks(monkeypatch, p)
+    src = write_file(tmp_path, 20 * CHUNK_STRIPES * 9, seed=19)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
-    small_blocks(monkeypatch, p)
     calls, finished = itertools.count(), []
     decode = shards.stripe.decode_from_k
 
     def slow_decode(params, rows):
         if next(calls) == 0:
-            raise DecodeError("first block")
+            raise DecodeError("first chunk")
         time.sleep(0.05)
         finished.append(1)
         return decode(params, rows)
 
     monkeypatch.setattr(shards.stripe, "decode_from_k", slow_decode)
-    with pytest.raises(DecodeError, match="first block"):
+    with pytest.raises(DecodeError, match="first chunk"):
         shards.decode_file(out_dir, tmp_path / "out.bin")
     started = next(calls)
     assert len(finished) == started - 1 and started < 20
@@ -617,8 +666,8 @@ def test_failed_block_cancels_queued_and_waits_for_running(tmp_path, monkeypatch
 
 def test_blocked_repair_falls_back_when_read_set_shard_left_out(tmp_path, monkeypatch):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=16)
-    small_blocks(monkeypatch, p)
-    src = write_file(tmp_path, 5 * BLOCK_STRIPES * 18 + 7, seed=18)
+    small_chunks(monkeypatch, p)
+    src = write_file(tmp_path, 5 * CHUNK_STRIPES * 18 + 7, seed=18)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
     first = out_dir / shards.shard_filename(1)
@@ -640,19 +689,16 @@ def test_blocked_repair_falls_back_when_read_set_shard_left_out(tmp_path, monkey
     (dict(n=8, k=6, s=1, kprime=3), 8),
 ], ids=["design2", "design1_mds", "design1"])
 def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
-    # 13 stripes in chunks of 5, blocks of 2: blocks split chunks and the
-    # last chunk is short. A repair's payload reads are its bandwidth in
-    # symbols per stripe, and no more.
+    # 13 stripes in chunks of 5, the last chunk short. A repair's payload
+    # reads are its bandwidth in symbols per stripe, and no more; recover
+    # and decode read each column of each surviving shard once.
     p = CodeParams(w=w, **params)
     stripe_bytes = p.data_symbols * (w // 8)
     monkeypatch.setattr(shards, "CHUNK_BYTES", 5 * stripe_bytes)
-    monkeypatch.setattr(shards, "BLOCK_BYTES", 2 * stripe_bytes)
     src = write_file(tmp_path, 13 * stripe_bytes - 1, seed=w)
     out_dir = tmp_path / "shards"
     paths = shards.encode_file(p, src, out_dir)
-    assert [len(b) for b in shards._blocks(shards.load_shard_set(out_dir)[1][0])] == [
-        2, 2, 1, 2, 2, 1, 2, 1
-    ]
+    assert [len(c) for c in shards.load_shard_set(out_dir)[1][0].chunks()] == [5, 5, 3]
     read = []
     pread = shards._pread
 
@@ -668,6 +714,21 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
         hdr, report = shards.repair_shard(out_dir, node)
         assert path.read_bytes() == original, node
         assert sum(read) == report.bandwidth * hdr.stripe_count * (w // 8), node
+    whole_shards = (p.n - p.r) * (p.s + 1) * hdr.stripe_count * (w // 8)
+    lost = list(range(1, p.r + 1))
+    original = {node: paths[node - 1].read_bytes() for node in lost}
+    for node in lost:
+        paths[node - 1].unlink()
+    read.clear()
+    assert shards.recover_shards(out_dir, lost) == lost
+    assert {node: paths[node - 1].read_bytes() for node in lost} == original
+    assert sum(read) == whole_shards
+    for node in lost:
+        paths[node - 1].unlink()
+    read.clear()
+    shards.decode_file(out_dir, tmp_path / "out.bin")
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+    assert sum(read) == whole_shards
 
 
 # peak RSS of the child alone: ru_maxrss would carry over the peak of the
