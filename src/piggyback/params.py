@@ -186,8 +186,13 @@ class ReadTracker:
         return tuple(sorted(self.cache))
 
 
-def grid_reader(grid: SymbolGrid, failed=()) -> Callable[[int, int], object]:
-    """Cell reader over an in-memory stripe; failed nodes are unreadable."""
+def grid_reader(grid: SymbolGrid, failed=()) -> Callable[..., object]:
+    """Reader over an in-memory stripe; failed nodes are unreadable.
+
+    ``read(node, column)`` gives one cell. ``read(node)`` gives the node's
+    whole row: a list of ints for a grid of ints, the (s+1, batch) view of
+    ``cells`` for stripe arrays.
+    """
     gone = set(failed)
     if grid.cells.ndim == 2:
         # plain ints are much faster than numpy scalars in the repair loops
@@ -195,9 +200,9 @@ def grid_reader(grid: SymbolGrid, failed=()) -> Callable[[int, int], object]:
     else:
         rows = grid.cells
 
-    def read(node: int, col: int):
+    def read(node: int, col: int | None = None):
         if node in gone:
             raise RepairError(f"node {node} is not available")
-        return rows[node - 1][col - 1]
+        return rows[node - 1] if col is None else rows[node - 1][col - 1]
 
     return read

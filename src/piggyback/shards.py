@@ -14,10 +14,13 @@ Piggyback sums and repair read sets never cross a stripe, so the chunk
 is also the unit of I/O, of memory and of work: every operation runs chunk
 by chunk (``ShardHeader.chunks``). A chunk is one contiguous byte range in
 the input file and in the decoded file, and one segment per column in
-every shard (``ShardHeader.segments``). Its columns are ``os.pread`` from
-the shards it needs, run through the stripe engine as numpy vectors, and
-``os.pwrite`` at their segments into temp files that replace their
-targets only when every chunk succeeded. Chunks run on one shared pool
+every shard (``ShardHeader.segments``). A node's s+1 segments of a chunk
+are adjacent, so decode and recover ``os.pread`` each surviving shard's
+row of the chunk with one call, as one (s+1, count) array, and a repair
+preads only the segments of its read set. The stripe engine runs on them
+as numpy vectors, and the rebuilt columns are ``os.pwrite`` at their
+segments into temp files that replace their targets only when every chunk
+succeeded. Chunks run on one shared pool
 with a thread per CPU in the affinity mask, since numpy's gathers and XORs
 release the GIL; memory grows with the worker count, not with the file
 size. Encode reads the input a piece at a time into a column buffer that
@@ -51,6 +54,7 @@ MAGIC = b"PGB1"
 VERSION = 2
 _HEADER_FMT = "<4sBBHHHHBHQQ"
 HEADER_SIZE = struct.calcsize(_HEADER_FMT)
+_NODE_AT = struct.calcsize(_HEADER_FMT[:10])  # node_index follows w
 CHUNK_BYTES = 1 << 20
 """File data per chunk of the payload: a format constant, since it fixes
 where each column segment lies, and the unit of I/O, memory and work of
@@ -321,11 +325,14 @@ def _write_row(fd: int, header: ShardHeader, stripes: range, row):
 @contextlib.contextmanager
 def _open_shards(shard_set: "ShardSet"):
     """{node: read fd} for every shard of the set, closed on exit."""
-    with contextlib.ExitStack() as stack:
-        yield {
-            node: stack.enter_context(open(path, "rb", buffering=0)).fileno()
-            for node, (_, path) in shard_set.items()
-        }
+    fds: dict[int, int] = {}
+    try:
+        for node, (_, path) in shard_set.items():
+            fds[node] = os.open(path, os.O_RDONLY)
+        yield fds
+    finally:
+        for fd in fds.values():
+            os.close(fd)
 
 
 @contextlib.contextmanager
@@ -368,27 +375,50 @@ class ShardSet(dict):
         return "".join(f"; {why}" for why in self.dropped.values())
 
 
+def _set_bytes(blob: bytes) -> bytes:
+    """A packed header without its node_index: equal across a set."""
+    return blob[:_NODE_AT] + blob[_NODE_AT + 2 : HEADER_SIZE]
+
+
 def load_shard_set(in_dir) -> ShardSet:
     """Headers of all shards present, validated as one consistent set.
 
-    A shard whose size disagrees with its header is left out (``dropped``).
+    The first header is validated in full; every other one whose bytes,
+    but for node_index, equal it shares its fields, and only one that
+    differs is unpacked, to name the cause. A shard whose size disagrees
+    with its header is left out (``dropped``).
     """
     in_dir = Path(in_dir)
     found = ShardSet()
     reference = None
-    for path in sorted(in_dir.glob("shard_*.pgb")):
-        # unbuffered, so only the header is read, not a buffer's worth
-        with open(path, "rb", buffering=0) as fh:
-            header = ShardHeader.unpack(fh.read(HEADER_SIZE))
-            size = os.fstat(fh.fileno()).st_size
-        if reference is None:
-            reference = header
-        elif not header.same_set(reference):
-            raise DataError(
-                f"inconsistent shard set: {path.name} disagrees with "
-                f"{shard_filename(reference.node_index)}"
-            )
-        node = header.node_index
+    try:
+        names = sorted(
+            name for name in os.listdir(in_dir)
+            if name.startswith("shard_") and name.endswith(".pgb")
+        )
+    except OSError:  # a missing directory holds no shards
+        names = []
+    for name in names:
+        path = in_dir / name
+        fd = os.open(path, os.O_RDONLY)
+        try:
+            blob = os.read(fd, HEADER_SIZE)
+            size = os.fstat(fd).st_size
+        finally:
+            os.close(fd)
+        node = int.from_bytes(blob[_NODE_AT : _NODE_AT + 2], "little")
+        known = reference is not None and _set_bytes(blob) == same
+        if known and 1 <= node <= reference.n:
+            header = replace(reference, node_index=node)
+        else:
+            header = ShardHeader.unpack(blob)
+            if reference is None:
+                reference, same = header, _set_bytes(blob)
+            elif not header.same_set(reference):
+                raise DataError(
+                    f"inconsistent shard set: {name} disagrees with "
+                    f"{shard_filename(reference.node_index)}"
+                )
         if node in found or node in found.dropped:
             raise DataError(f"duplicate shard for node {node}")
         expected = HEADER_SIZE + header.payload_bytes
@@ -402,13 +432,14 @@ def load_shard_set(in_dir) -> ShardSet:
 
 
 class ShardReader:
-    """Cell reader over one chunk, ``stripes``, of a shard set.
+    """Reader over one chunk, ``stripes``, of a shard set.
 
-    ``fds`` maps each node of the set to its open shard file. Each call
-    reads one column of one node with a ``pread`` of its segment. Decode
-    asks for each cell once, and repair and recover read through
-    ``ReadTracker``, which asks once per cell, so a repair reads exactly its
-    read set: the columns it uses of the shards it uses.
+    ``fds`` maps each node of the set to its open shard file. Every call
+    is one ``pread``: ``reader(node, col)`` reads one column's segment,
+    and ``reader(node)`` the node's whole row, its s+1 adjacent segments.
+    Decode and recover read each survivor's row once; repair reads
+    through ``ReadTracker``, which asks once per cell, so a repair reads
+    exactly its read set: the columns it uses of the shards it uses.
     """
 
     def __init__(self, shard_set: ShardSet, fds: dict[int, int], stripes: range):
@@ -417,13 +448,16 @@ class ShardReader:
         # the same in every shard of a set
         self._segments = next(iter(shard_set.values()))[0].segments(stripes)
 
-    def __call__(self, node: int, col: int) -> np.ndarray:
-        """Node's symbols of column ``col`` over the chunk, contiguous."""
+    def __call__(self, node: int, col: int | None = None) -> np.ndarray:
+        """Node's symbols of column ``col`` over the chunk, contiguous; with
+        no ``col``, its row as one (s+1, count) array, a column per row."""
         if node not in self._set:
             raise RepairError(f"shard for node {node} is not available{self._set.note()}")
         header, path = self._set[node]
-        offset, size = self._segments[col - 1]
-        symbols = np.empty(size // header.symbol_bytes, header.dtype)
+        offset, size = self._segments[0 if col is None else col - 1]
+        count = size // header.symbol_bytes
+        shape = (len(self._segments), count) if col is None else count
+        symbols = np.empty(shape, header.dtype)
         _pread(self._fds[node], symbols, offset, path)
         return symbols
 
@@ -491,14 +525,13 @@ def decode_file(in_dir, out_path) -> int:
     params = header.params()
     stripe_bytes = header.stripe_bytes
     length = header.original_length
-    cols = range(1, params.s + 2)
     with _shortfall_noted(shard_set):
         stripe.require_rows(params, len(shard_set))
         with _open_shards(shard_set) as fds, _atomic_files([Path(out_path)]) as (out,):
 
             def decode_chunk(stripes: range):
                 reader = ShardReader(shard_set, fds, stripes)
-                rows = {node: [reader(node, col) for col in cols] for node in shard_set}
+                rows = {node: reader(node) for node in shard_set}
                 data = stripe.decode_from_k(params, rows)
                 table = np.stack(data, axis=1).astype(header.dtype, copy=False)
                 start = stripes.start * stripe_bytes

@@ -11,7 +11,11 @@ placement from that map. Symbols may be ints or numpy stripe arrays
 throughout. ``decode_stripe`` is the one path from surviving rows to the
 stripe (the r+1 sweep and its ``FailurePattern`` included). It chooses the
 exact k cells each MDS decode takes and checks every supplied symbol
-outside them. ``design1`` and ``design2`` only describe the layouts and
+outside them. Columns 1..s are s codewords of one code decoded from the
+same k rows, so on stripe arrays they are one MDS solve over (s, ...)
+blocks; plain ints, and the r+1 sweep, decode column by column. A row of
+arrays may be one (s+1, ...) array, the form ``recover_nodes`` reads with
+one call per node. ``design1`` and ``design2`` only describe the layouts and
 re-export these names, because the benchmark in ``perfbench/`` patches
 and calls them there.
 """
@@ -22,8 +26,10 @@ import functools
 from dataclasses import dataclass
 from typing import Callable, Mapping
 
+import numpy as np
+
 from .errors import DecodeError, InsufficientDataError, ParameterError
-from .errors import UnsupportedPatternError
+from .errors import RepairError, UnsupportedPatternError
 from .field import symbols_equal
 from .params import CodeParams, ReadTracker, RepairReport, SymbolGrid, Variant
 from .params import grid_from_rows
@@ -260,12 +266,28 @@ class FailurePattern:
         return cls(rows, gaps)
 
 
+def _basis_columns(params: CodeParams, rows: Mapping[int, object], basis) -> list:
+    """Columns 1..s of the stripe, decoded from the rows of ``basis``.
+
+    On stripe arrays the s columns are one ``MdsCode.decode``: its symbols
+    are each basis row's first s cells as one (s, ...) block, a view when
+    the row is one (s+1, ...) array. Plain ints decode column by column.
+    """
+    mds, s = params.mds_first, params.s
+    if not isinstance(rows[basis[0]][0], np.ndarray):
+        return [mds.decode({node: rows[node][i] for node in basis}) for i in range(s)]
+    blocks = mds.decode({node: np.asarray(rows[node][:s]) for node in basis})
+    return [[block[i] for block in blocks] for i in range(s)]
+
+
 def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     """Rebuild the whole stripe from the supplied rows; returns its n rows.
 
-    ``rows`` maps node index to its s+1 symbols. The basis: from k or more
-    rows, columns 1..s decode from the first k (in node order) and column
-    s+1's (n, k') codeword from the first k'. From k-1 rows when
+    ``rows`` maps node index to its s+1 symbols: a list, or for stripe
+    arrays also one (s+1, ...) array. The basis: from k or more rows,
+    columns 1..s decode from the first k (in node order), on arrays in one
+    solve (``_basis_columns``), and column s+1's (n, k') codeword from the
+    first k'. From k-1 rows when
     ``r_plus_1_guaranteed``, the sweep starts at the lost row f with the
     widest gap of survivors after it: for each column from s down to 1,
     cell (col, f) is peeled out of its stored sum, lost contributors coming
@@ -286,7 +308,7 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
     basis = order[:k]  # rows columns 1..s decode from: all k-1 in the sweep
     basis_last = order[:kp]  # rows column s+1 is decoded or peeled from
     if len(rows) >= k:
-        cols = [mds.decode({node: rows[node][i] for node in basis}) for i in range(s)]
+        cols = _basis_columns(params, rows, basis)
     else:
         lost = [node for node in range(1, params.n + 1) if node not in rows]
         pattern = FailurePattern.from_failed(params, lost)
@@ -336,9 +358,10 @@ def recover_nodes(
 ) -> dict[int, list]:
     """Recover several failed nodes at once; returns {node: its s+1 symbols}.
 
-    The s+1 cells of every other node are read (failed nodes never are)
-    and handed to ``decode_stripe``, so every survivor cell outside its
-    basis is checked against the rebuilt stripe. More than r+1 failures
+    Every other node's row is read with one call, ``read(node)`` (failed
+    nodes never are), and handed to ``decode_stripe``, so every survivor
+    cell outside its basis is checked against the rebuilt stripe; a read
+    that fails or gives None raises RepairError. More than r+1 failures
     with k' = 0 raise UnsupportedPatternError; otherwise too few survivors
     raise what ``require_rows`` raises, before anything is read.
     """
@@ -353,13 +376,16 @@ def recover_nodes(
             f"r+1={params.r + 1}"
         )
     require_rows(params, params.n - len(failed))
-    tracker = ReadTracker(read, failed)
-    cols = range(1, params.s + 2)
-    rows = {
-        node: [tracker.fetch(node, c) for c in cols]
-        for node in range(1, params.n + 1)
-        if node not in failed
-    }
+    rows = {}
+    for node in range(1, params.n + 1):
+        if node in failed:
+            continue
+        try:
+            rows[node] = read(node)
+        except Exception as exc:
+            raise RepairError(f"cannot read node {node}: {exc}") from exc
+        if rows[node] is None:
+            raise RepairError(f"cannot read node {node}")
     full = decode_stripe(params, rows)
     return {node: full[node - 1] for node in failed}
 

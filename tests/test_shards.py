@@ -25,6 +25,7 @@ from piggyback import (
     design2,
     shards,
 )
+from piggyback.mds import MdsCode
 from piggyback.shards import HEADER_SIZE, ShardHeader
 
 SRC = str(Path(shards.__file__).resolve().parent.parent)
@@ -363,6 +364,32 @@ def test_inconsistent_set_detected(tmp_path):
         shards.load_shard_set(d1)
 
 
+@pytest.mark.parametrize("offset, value, cause", [
+    (15, b"\x00\x00", r"node_index 0 out of \[1, 8\]"),
+    (15, b"\x09\x00", r"node_index 9 out of \[1, 8\]"),
+    (4, b"\x01", "version 1"),
+    (0, b"XXXX", "bad magic"),
+    (17, (101).to_bytes(8, "little"), "inconsistent shard set: shard_0005.pgb"),
+    (33, None, r"corrupt header: 20 bytes < 33"),
+], ids=["node_0", "node_above_n", "version", "magic", "length", "short"])
+def test_later_header_fault_is_named(tmp_path, offset, value, cause):
+    # only the first header is unpacked in full; a later one that differs
+    # from it in any byte but node_index is unpacked to name the cause
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 100, seed=8)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    path = out_dir / "shard_0005.pgb"
+    blob = path.read_bytes()
+    if value is None:
+        blob = blob[:20]
+    else:
+        blob = blob[:offset] + value + blob[offset + len(value):]
+    path.write_bytes(blob)
+    with pytest.raises(DataError, match=cause):
+        shards.load_shard_set(out_dir)
+
+
 def test_duplicate_node_detected(tmp_path):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 100, seed=8)
@@ -691,7 +718,9 @@ def test_blocked_repair_falls_back_when_read_set_shard_left_out(tmp_path, monkey
 def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
     # 13 stripes in chunks of 5, the last chunk short. A repair's payload
     # reads are its bandwidth in symbols per stripe, and no more; recover
-    # and decode read each column of each surviving shard once.
+    # and decode read each surviving shard's row of a chunk once, with one
+    # pread, and solve its columns 1..s as one block (ndim 2), column s+1
+    # (k' > 0) in one more solve.
     p = CodeParams(w=w, **params)
     stripe_bytes = p.data_symbols * (w // 8)
     monkeypatch.setattr(shards, "CHUNK_BYTES", 5 * stripe_bytes)
@@ -707,6 +736,14 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
         read.append(out.nbytes)
 
     monkeypatch.setattr(shards, "_pread", counted)
+    solves = []
+    solve = MdsCode.solve
+
+    def counted_solve(code, known, positions):
+        solves.append(next(iter(known.values())).ndim)
+        return solve(code, known, positions)
+
+    monkeypatch.setattr(MdsCode, "solve", counted_solve)
     for node, path in enumerate(paths, 1):
         original = path.read_bytes()
         path.unlink()
@@ -715,20 +752,27 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
         assert path.read_bytes() == original, node
         assert sum(read) == report.bandwidth * hdr.stripe_count * (w // 8), node
     whole_shards = (p.n - p.r) * (p.s + 1) * hdr.stripe_count * (w // 8)
+    chunk_solves = [2, 1] if p.kprime else [2]
     lost = list(range(1, p.r + 1))
     original = {node: paths[node - 1].read_bytes() for node in lost}
     for node in lost:
         paths[node - 1].unlink()
     read.clear()
+    solves.clear()
     assert shards.recover_shards(out_dir, lost) == lost
     assert {node: paths[node - 1].read_bytes() for node in lost} == original
     assert sum(read) == whole_shards
+    assert len(read) == (p.n - p.r) * 3
+    assert sorted(solves) == sorted(chunk_solves * 3)
     for node in lost:
         paths[node - 1].unlink()
     read.clear()
+    solves.clear()
     shards.decode_file(out_dir, tmp_path / "out.bin")
     assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
     assert sum(read) == whole_shards
+    assert len(read) == (p.n - p.r) * 3
+    assert sorted(solves) == sorted(chunk_solves * 3)
 
 
 # peak RSS of the child alone: ru_maxrss would carry over the peak of the

@@ -99,30 +99,46 @@ def test_recover_nodes_rejects_bad_failed_set(failed):
     [pytest.param(CodeParams(14, 10, 2, 10, w=16), lost, id=f"design1-w16-{name}")
      for name, lost in [("k", (3, 8, 12, 14))]]
     + [pytest.param(CodeParams(14, 10, 2, 0, w=8), lost, id=f"design2-w8-{name}")
-       for name, lost in [("k", (2, 7, 11, 13)), ("r+1", (2, 5, 7, 11, 13))]],
+       for name, lost in [("k", (2, 7, 11, 13)), ("r+1", (2, 5, 7, 11, 13))]]
+    + [pytest.param(CodeParams(8, 6, 1, 3, w=8), (1, 5), id="design1-w8-s1-k"),
+       pytest.param(CodeParams(12, 8, 3, 4, w=16), (2, 5, 9, 12), id="design1-w16-s3-k"),
+       pytest.param(CodeParams(12, 10, 3, 0, w=8), (2, 6, 11), id="design2-w8-s3-r+1")],
 )
 def test_array_path_matches_int_path_stripe_by_stripe(params, lost):
-    # the array path multiplies by packed tables, the int path by exp/log:
-    # every stripe of a batch must come out the same both ways
+    # the array path multiplies by packed tables and solves columns 1..s
+    # as one block, the int path multiplies by exp/log column by column:
+    # every stripe of a batch must come out the same both ways, with rows
+    # handed as lists of 1-D arrays and as the shard path's (s+1, batch)
+    # arrays
     rng = np.random.default_rng(params.w + len(lost))
     q, batch = 1 << params.w, 23
     dtype = np.uint8 if params.w == 8 else np.uint16
     data = [rng.integers(0, q, batch, dtype=dtype) for _ in range(params.data_symbols)]
     data[0][0] = q - 1
     grid = stripe.encode_stripe(params, data)
-    rows = {f: grid.row(f) for f in range(1, params.n + 1) if f not in lost}
-    decoded = stripe.decode_from_k(params, rows)
-    recovered = stripe.recover_nodes(params, lost, grid_reader(grid, failed=lost))
+    keep = [f for f in range(1, params.n + 1) if f not in lost]
+    want = []  # (data, recovered rows) of each stripe on the int path
     for t in range(batch):
         ints = [int(d[t]) for d in data]
-        want = stripe.encode_stripe(params, ints).cells.tolist()
-        assert grid.cells[:, :, t].tolist() == want, t
-        int_rows = {f: want[f - 1] for f in rows}
-        want_data = stripe.decode_from_k(params, int_rows)
-        assert [int(d[t]) for d in decoded] == want_data == ints
-        int_reader = grid_reader(stripe.encode_stripe(params, ints), failed=lost)
-        want_rec = stripe.recover_nodes(params, lost, int_reader)
-        assert {f: [int(x[t]) for x in row] for f, row in recovered.items()} == want_rec
+        int_grid = stripe.encode_stripe(params, ints)
+        assert grid.cells[:, :, t].tolist() == int_grid.cells.tolist(), t
+        int_rows = {f: int_grid.row(f) for f in keep}
+        assert stripe.decode_from_k(params, int_rows) == ints
+        int_reader = grid_reader(int_grid, failed=lost)
+        want.append((ints, stripe.recover_nodes(params, lost, int_reader)))
+    read = grid_reader(grid, failed=lost)
+    forms = {
+        "lists": ({f: grid.row(f) for f in keep}, lambda node: list(read(node))),
+        "blocks": ({f: grid.cells[f - 1] for f in keep}, read),
+    }
+    for form, (rows, reader) in forms.items():
+        decoded = stripe.decode_from_k(params, rows)
+        recovered = stripe.recover_nodes(params, lost, reader)
+        assert all(d.dtype == dtype for d in decoded), form
+        for t, (ints, want_rec) in enumerate(want):
+            assert [int(d[t]) for d in decoded] == ints, (form, t)
+            got = {f: [int(x[t]) for x in row] for f, row in recovered.items()}
+            assert got == want_rec, (form, t)
 
 
 @pytest.mark.parametrize(
