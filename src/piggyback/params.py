@@ -12,7 +12,8 @@ A code is an n x (s+1) array: row = node, columns 1..s are codewords of an
 
 All node/row/column indices in the public API are 1-based. CodeParams is
 frozen and all stripe operations are reentrant. Stripes are independent:
-the shard path (``shards``) runs blocks of stripes on a thread per CPU.
+the shard path (``shards``) cuts a file's stripes into chunks, which the
+caller's thread and one pool thread per other CPU take in turn.
 """
 
 from __future__ import annotations
@@ -121,15 +122,11 @@ class SymbolGrid:
     """One encoded stripe: cells[row][col], 0-based internally.
 
     ``cells`` is an (n, s+1) integer array for single stripes, or an
-    (n, s+1, batch) array when symbols are stripe vectors. Use ``cell``
-    for 1-based access.
+    (n, s+1, batch) array when symbols are stripe vectors.
     """
 
     params: CodeParams
     cells: np.ndarray
-
-    def cell(self, node: int, col: int):
-        return self.cells[node - 1][col - 1]
 
     def row(self, node: int) -> list:
         row = self.cells[node - 1]

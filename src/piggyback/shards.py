@@ -20,9 +20,10 @@ row of the chunk with one call, as one (s+1, count) array, and a repair
 preads only the segments of its read set. The stripe engine runs on them
 as numpy vectors, and the rebuilt columns are ``os.pwrite`` at their
 segments into temp files that replace their targets only when every chunk
-succeeded. Chunks run on one shared pool
-with a thread per CPU in the affinity mask, since numpy's gathers and XORs
-release the GIL; memory grows with the worker count, not with the file
+succeeded. The caller's thread and one thread of a shared pool per other
+CPU in the affinity mask take the chunks in turn, since numpy's gathers
+and XORs release the GIL; a repair, which reads little, stays on the
+caller's thread. Memory grows with the worker count, not with the file
 size. Encode reads the input a piece at a time into a column buffer that
 each thread keeps.
 """
@@ -171,9 +172,6 @@ class ShardHeader:
     def params(self) -> CodeParams:
         return CodeParams(n=self.n, k=self.k, s=self.s, kprime=self.kprime, w=self.w)
 
-    def same_set(self, other: "ShardHeader") -> bool:
-        return replace(self, node_index=0) == replace(other, node_index=0)
-
 
 def shard_filename(node: int) -> str:
     return f"shard_{node:04d}.pgb"
@@ -198,11 +196,11 @@ def _executor() -> ThreadPoolExecutor:
     global _pool
     with _pool_lock:
         if _pool is None:
-            _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="piggyback-block")
+            _pool = ThreadPoolExecutor(_cpus() - 1, thread_name_prefix="piggyback-chunk")
         return _pool
 
 
-def _run_blocks(task, chunks: list[range], helped: bool = True) -> list:
+def _run_chunks(task, chunks: list[range], helped: bool = True) -> list:
     """``task(stripes)`` for every chunk; results in chunk order.
 
     The caller's thread takes the chunks one at a time, and when
@@ -306,13 +304,13 @@ def _write_shards(
 ) -> list:
     """Write a shard per header, chunk by chunk; ``task(stripes, fds)`` fills
     each chunk, fds in header order. Returns the tasks' results; ``helped``
-    is passed to ``_run_blocks``."""
+    is passed to ``_run_chunks``."""
     paths = [out_dir / shard_filename(header.node_index) for header in headers]
     with _atomic_files(paths) as fds:
         for header, fd in zip(headers, fds):
             _pwrite(fd, header.pack(), 0)
         chunks = headers[0].chunks()
-        return _run_blocks(lambda stripes: task(stripes, fds), chunks, helped)
+        return _run_chunks(lambda stripes: task(stripes, fds), chunks, helped)
 
 
 def _write_row(fd: int, header: ShardHeader, stripes: range, row):
@@ -414,7 +412,7 @@ def load_shard_set(in_dir) -> ShardSet:
             header = ShardHeader.unpack(blob)
             if reference is None:
                 reference, same = header, _set_bytes(blob)
-            elif not header.same_set(reference):
+            else:  # other set bytes: the packing is one-to-one, so other fields
                 raise DataError(
                     f"inconsistent shard set: {name} disagrees with "
                     f"{shard_filename(reference.node_index)}"
@@ -537,7 +535,7 @@ def decode_file(in_dir, out_path) -> int:
                 start = stripes.start * stripe_bytes
                 _pwrite(out, table.reshape(-1).view(np.uint8)[: length - start], start)
 
-            _run_blocks(decode_chunk, header.chunks())
+            _run_chunks(decode_chunk, header.chunks())
     return length
 
 

@@ -14,10 +14,11 @@ exact k cells each MDS decode takes and checks every supplied symbol
 outside them. Columns 1..s are s codewords of one code decoded from the
 same k rows, so on stripe arrays they are one MDS solve over (s, ...)
 blocks; plain ints, and the r+1 sweep, decode column by column. A row of
-arrays may be one (s+1, ...) array, the form ``recover_nodes`` reads with
-one call per node. ``design1`` and ``design2`` only describe the layouts and
-re-export these names, because the benchmark in ``perfbench/`` patches
-and calls them there.
+arrays may be one (s+1, ...) array, the form in which ``recover_nodes``,
+the one multi-node recovery, reads each node with one call. ``design1`` and
+``design2`` re-export these names, because the benchmark in ``perfbench/``
+patches and calls them there; the only function they define is
+``design2.recover_failures``, that benchmark's name for ``recover_nodes``.
 """
 
 from __future__ import annotations
@@ -354,7 +355,7 @@ def decode_stripe(params: CodeParams, rows: Mapping[int, object]) -> list:
 
 
 def recover_nodes(
-    params: CodeParams, failed, read: Callable[[int, int], object]
+    params: CodeParams, failed, read: Callable[[int], object]
 ) -> dict[int, list]:
     """Recover several failed nodes at once; returns {node: its s+1 symbols}.
 
@@ -365,11 +366,7 @@ def recover_nodes(
     with k' = 0 raise UnsupportedPatternError; otherwise too few survivors
     raise what ``require_rows`` raises, before anything is read.
     """
-    failed = sorted(set(failed))
-    if not failed:
-        raise ParameterError("no failed nodes given")
-    if not 1 <= failed[0] <= failed[-1] <= params.n:
-        raise ParameterError(f"failed nodes out of [1, {params.n}]: {failed}")
+    failed = FailurePattern.from_failed(params, failed).failed
     if not params.kprime and len(failed) > params.r + 1:
         raise UnsupportedPatternError(
             f"{len(failed)} failures exceed the guaranteed capability "

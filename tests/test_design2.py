@@ -11,6 +11,7 @@ from piggyback import (
     InsufficientDataError,
     ParameterError,
     RepairError,
+    SymbolGrid,
     UnsupportedPatternError,
     design2,
     field,
@@ -246,6 +247,42 @@ class TestRecover:
             design2.recover_failures(
                 P750, [2, 4], grid_reader(grid, failed={2, 4, 6})
             )
+
+    def test_corrupt_survivor_never_used_silently(self):
+        # one flipped bit in any survivor cell, as read(node) rows and as
+        # read(node, col) cells, for every pattern of up to r failures
+        grid = design2.encode_stripe(P750, rand_data(P750, seed=44))
+        silent = []
+        for m in (1, 2):
+            for pattern in itertools.combinations(range(1, 8), m):
+                for node in set(range(1, 8)) - set(pattern):
+                    for col in range(P750.s + 1):
+                        cells = grid.cells.copy()
+                        cells[node - 1, col] ^= 1
+                        reader = grid_reader(SymbolGrid(P750, cells), failed=pattern)
+                        flipped = reader(node)[col]
+                        assert reader(node, col + 1) == flipped != grid.cells[node - 1, col]
+                        try:
+                            design2.recover_failures(P750, pattern, reader)
+                        except DecodeError:
+                            continue
+                        silent.append((pattern, node, col + 1))
+        assert not silent, f"{len(silent)} silent outcomes: {silent[:5]}"
+
+    def test_reads_each_survivor_row_once(self):
+        grid = design2.encode_stripe(P750, rand_data(P750, seed=45))
+        for m in (1, 2, 3):
+            for pattern in itertools.combinations(range(1, 8), m):
+                read = grid_reader(grid, failed=pattern)
+                calls = []
+
+                def counting(node, col=None):
+                    calls.append((node, col))
+                    return read(node, col)
+
+                design2.recover_failures(P750, pattern, counting)
+                survivors = [node for node in range(1, 8) if node not in pattern]
+                assert sorted(calls) == [(node, None) for node in survivors], pattern
 
 
 class TestDecodeFromK:

@@ -95,10 +95,6 @@ class TestHeader:
         with pytest.raises(DataError, match="node_index"):
             ShardHeader.unpack(header(node_index=9).pack())
 
-    def test_same_set_ignores_node(self):
-        assert header(node_index=1).same_set(header(node_index=5))
-        assert not header(node_index=1).same_set(header(n=9, node_index=1))
-
 
 @pytest.mark.parametrize("design,params", [
     (1, dict(n=8, k=6, s=1, kprime=3)),
