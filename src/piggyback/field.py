@@ -46,7 +46,8 @@ from .errors import ParameterError
 #   w=16: x^16 + x^12 + x^3 + x + 1
 REDUCTION_POLY = {8: 0x11D, 16: 0x1100B}
 
-DEFAULT_ETA = 2
+# Primitive element of both fields (tests/test_field.py proves it).
+ETA = 2
 
 # Tables a Field keeps at once of each kind (least recently used evicted).
 # A product table (one coefficient, for mul and dot) is 2^16 16-bit lanes,
@@ -112,52 +113,31 @@ def _exp_table(eta: int, poly: int, w: int) -> np.ndarray:
 class Field:
     """Arithmetic over GF(2^w).
 
-    Scalars use log/antilog tables. Stripe arrays (w=8 or 16 only) use
-    per-coefficient product tables over 16-bit lanes (``mul``, ``dot``) or
-    per-column packed tables over bytes (``dots``), built on first use and
-    held in bounded LRUs.
+    Scalars use log/antilog tables. Stripe arrays use per-coefficient
+    product tables over 16-bit lanes (``mul``, ``dot``) or per-column
+    packed tables over bytes (``dots``), built on first use and held in
+    bounded LRUs.
 
-    Parameters
-    ----------
-    w : int
-        Bit width of a symbol (8 or 16 for the shipped polynomials).
-    poly : int or None
-        Reduction polynomial including the x^w bit. Defaults to the
-        standard choice for w.
-    eta : int
-        Primitive element used to build the tables and the parity
-        coefficient vectors. Construction fails if eta does not generate
-        the full multiplicative group.
+    ``w`` is the bit width of a symbol, 8 or 16: the reduction polynomial
+    is ``REDUCTION_POLY[w]`` and the primitive element ``ETA``, which build
+    the tables and the parity coefficient vectors.
     """
 
-    def __init__(self, w: int, poly: int | None = None, eta: int = DEFAULT_ETA):
-        if poly is None:
-            if w not in REDUCTION_POLY:
-                raise ParameterError(
-                    f"no built-in reduction polynomial for w={w}; supply one"
-                )
-            poly = REDUCTION_POLY[w]
-        if not poly >> w & 1:
-            raise ParameterError(f"polynomial {poly:#x} does not have degree {w}")
-
+    def __init__(self, w: int):
+        if w not in REDUCTION_POLY:
+            raise ParameterError(f"GF(2^{w}) is not supported: w must be 8 or 16")
         self.w = w
-        self.poly = poly
-        self.eta = eta
+        self.poly = REDUCTION_POLY[w]
+        self.eta = ETA
         self.q = 1 << w
         self.order = self.q - 1
 
         # symbols as stored (uint8 at w=8, uint16 at w=16)
         self.dtype = np.min_scalar_type(self.order)
 
-        exp = _exp_table(eta, poly, w)
+        exp = _exp_table(self.eta, self.poly, w)
         log = np.full(self.q, -1, dtype=np.int64)
         log[exp] = np.arange(self.order)
-        if not np.array_equal(log[exp], np.arange(self.order)):
-            repeat = np.flatnonzero(exp[1:] == 1)
-            order = f" (order {repeat[0] + 1} < {self.order})" if repeat.size else ""
-            raise ParameterError(
-                f"eta={eta:#x} is not primitive for poly {poly:#x}{order}"
-            )
 
         self._exp = exp.tolist() * 2
         self._log = log.tolist()
@@ -183,8 +163,6 @@ class Field:
         """
         if not 0 <= a < self.q:
             raise ParameterError(f"coefficient {a} outside GF(2^{self.w})")
-        if self.w not in (8, 16):
-            raise ParameterError(f"array multiply needs w=8 or w=16, not {self.w}")
         elems = np.arange(self.q, dtype=np.uint32)
         table = _mul_array(elems, a, self.poly, self.w).astype("<u2")
         if self.w == 8:
@@ -332,8 +310,6 @@ class Field:
             return out
         if len(matrix) < 3:
             return [self.dot(row, symbols) for row in matrix]
-        if self.w not in (8, 16):
-            raise ParameterError(f"array multiply needs w=8 or w=16, not {self.w}")
         shape, dtype = symbols[0].shape, np.result_type(*symbols)
         size, g = symbols[0].size, 64 // self.w
         groups = [matrix[i : i + g] for i in range(0, len(matrix), g)]
@@ -361,9 +337,9 @@ class Field:
 
 
 @functools.lru_cache(maxsize=None)
-def field(w: int, poly: int | None = None, eta: int = DEFAULT_ETA) -> Field:
-    """Shared Field instance for (w, poly, eta)."""
-    return Field(w, poly, eta)
+def field(w: int) -> Field:
+    """Shared Field instance for w."""
+    return Field(w)
 
 
 def parity_vectors(k: int, m: int, fld: Field) -> list[list[int]]:

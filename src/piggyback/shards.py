@@ -18,14 +18,14 @@ every shard (``ShardHeader.segments``). A node's s+1 segments of a chunk
 are adjacent, so decode and recover ``os.pread`` each surviving shard's
 row of the chunk with one call, as one (s+1, count) array, and a repair
 preads only the segments of its read set. The stripe engine runs on them
-as numpy vectors, and the rebuilt columns are ``os.pwrite`` at their
-segments into temp files that replace their targets only when every chunk
-succeeded. The caller's thread and one thread of a shared pool per other
-CPU in the affinity mask take the chunks in turn, since numpy's gathers
-and XORs release the GIL; a repair, which reads little, stays on the
-caller's thread. Memory grows with the worker count, not with the file
-size. Encode reads the input a piece at a time into a column buffer that
-each thread keeps.
+as numpy vectors, and each rebuilt row, one (s+1, count) array too, is
+``os.pwrite`` with one call at its first segment into temp files that
+replace their targets only when every chunk succeeded. The caller's
+thread and one thread of a shared pool per other CPU in the affinity mask
+take the chunks in turn, since numpy's gathers and XORs release the GIL;
+a repair, which reads little, stays on the caller's thread. Memory grows
+with the worker count, not with the file size. Encode reads the input a
+piece at a time into a column buffer that each thread keeps.
 """
 
 from __future__ import annotations
@@ -250,8 +250,11 @@ def _pread(fd: int, out: np.ndarray, offset: int, name):
 
 def _pwrite(fd: int, data, offset: int):
     view = memoryview(data)
-    if view.nbytes:  # a view with a zero in its shape cannot be cast
-        view = view.cast("B")
+    # a view with a zero in its shape cannot be cast, and an empty row,
+    # (s+1, 0), has a length of s+1: the loop below would never end
+    if not view.nbytes:
+        return
+    view = view.cast("B")
     while view:
         done = os.pwrite(fd, view, offset)
         view, offset = view[done:], offset + done
@@ -314,10 +317,9 @@ def _write_shards(
 
 
 def _write_row(fd: int, header: ShardHeader, stripes: range, row):
-    """Store one node's row of a chunk, one write per column."""
-    columns = _payload_from_row(header, row)
-    for symbols, (offset, _) in zip(columns, header.segments(stripes)):
-        _pwrite(fd, symbols, offset)
+    """Store one node's row of a chunk with one write: its s+1 column
+    segments are adjacent, from the first one on."""
+    _pwrite(fd, _payload_from_row(header, row), header.segments(stripes)[0][0])
 
 
 @contextlib.contextmanager
@@ -460,10 +462,11 @@ class ShardReader:
         return symbols
 
 
-def _payload_from_row(header: ShardHeader, row) -> list[np.ndarray]:
-    """A node's row of a chunk as its s+1 column segments: contiguous
-    arrays in the shard dtype."""
-    return [np.ascontiguousarray(col, dtype=header.dtype) for col in row]
+def _payload_from_row(header: ShardHeader, row) -> np.ndarray:
+    """A node's row of a chunk as one contiguous (s+1, count) array in the
+    shard dtype, a column segment per row: a view of a row that already is
+    one, else its s+1 columns stacked once."""
+    return np.ascontiguousarray(row, dtype=header.dtype)
 
 
 def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
@@ -510,7 +513,7 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
                 columns[:, a : a + len(rows)] = rows.T
             grid = stripe.encode_stripe(params, list(columns))
             for header, fd, row in zip(headers, fds, grid.cells):
-                _write_row(fd, header, stripes, list(row))
+                _write_row(fd, header, stripes, row)
 
         _write_shards(out_dir, headers, encode_chunk)
     return [out_dir / shard_filename(header.node_index) for header in headers]

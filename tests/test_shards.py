@@ -6,6 +6,7 @@ import random
 import shutil
 import subprocess
 import sys
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
@@ -716,13 +717,25 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
     # reads are its bandwidth in symbols per stripe, and no more; recover
     # and decode read each surviving shard's row of a chunk once, with one
     # pread, and solve its columns 1..s as one block (ndim 2), column s+1
-    # (k' > 0) in one more solve.
+    # (k' > 0) in one more solve. Every writer stores a shard's header
+    # with one pwrite and a node's row of a chunk with one more; decode
+    # writes each chunk of the file with one.
     p = CodeParams(w=w, **params)
     stripe_bytes = p.data_symbols * (w // 8)
     monkeypatch.setattr(shards, "CHUNK_BYTES", 5 * stripe_bytes)
     src = write_file(tmp_path, 13 * stripe_bytes - 1, seed=w)
     out_dir = tmp_path / "shards"
+    writes = []
+    pwrite, lock = shards._pwrite, threading.Lock()
+
+    def counted_write(fd, data, offset):
+        pwrite(fd, data, offset)
+        with lock:  # the pool's threads write too
+            writes.append(offset)
+
+    monkeypatch.setattr(shards, "_pwrite", counted_write)
     paths = shards.encode_file(p, src, out_dir)
+    assert len(writes) == p.n + 3 * p.n
     assert [len(c) for c in shards.load_shard_set(out_dir)[1][0].chunks()] == [5, 5, 3]
     read = []
     pread = shards._pread
@@ -744,9 +757,11 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
         original = path.read_bytes()
         path.unlink()
         read.clear()
+        writes.clear()
         hdr, report = shards.repair_shard(out_dir, node)
         assert path.read_bytes() == original, node
         assert sum(read) == report.bandwidth * hdr.stripe_count * (w // 8), node
+        assert len(writes) == 1 + 3, node
     whole_shards = (p.n - p.r) * (p.s + 1) * hdr.stripe_count * (w // 8)
     chunk_solves = [2, 1] if p.kprime else [2]
     lost = list(range(1, p.r + 1))
@@ -755,20 +770,24 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
         paths[node - 1].unlink()
     read.clear()
     solves.clear()
+    writes.clear()
     assert shards.recover_shards(out_dir, lost) == lost
     assert {node: paths[node - 1].read_bytes() for node in lost} == original
     assert sum(read) == whole_shards
     assert len(read) == (p.n - p.r) * 3
     assert sorted(solves) == sorted(chunk_solves * 3)
+    assert len(writes) == p.r + 3 * p.r
     for node in lost:
         paths[node - 1].unlink()
     read.clear()
     solves.clear()
+    writes.clear()
     shards.decode_file(out_dir, tmp_path / "out.bin")
     assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
     assert sum(read) == whole_shards
     assert len(read) == (p.n - p.r) * 3
     assert sorted(solves) == sorted(chunk_solves * 3)
+    assert len(writes) == 3
 
 
 # peak RSS of the child alone: ru_maxrss would carry over the peak of the
