@@ -134,9 +134,7 @@ class SymbolGrid:
 
 
 def grid_from_rows(params: CodeParams, rows: list[list]) -> SymbolGrid:
-    """Stack encoded rows; stripe arrays keep their symbols' dtype."""
-    if isinstance(rows[0][0], np.ndarray):
-        return SymbolGrid(params, np.array(rows))
+    """Stack encoded rows of plain ints."""
     return SymbolGrid(params, np.array(rows, dtype=np.uint32))
 
 

@@ -24,8 +24,11 @@ replace their targets only when every chunk succeeded. The caller's
 thread and one thread of a shared pool per other CPU in the affinity mask
 take the chunks in turn, since numpy's gathers and XORs release the GIL;
 a repair, which reads little, stays on the caller's thread. Memory grows
-with the worker count, not with the file size. Encode reads the input a
-piece at a time into a column buffer that each thread keeps.
+with the worker count, not with the file size. Encode builds each chunk's
+(n, s+1, count) stripe in place in a buffer that each thread keeps,
+reading the input, which must be a regular file, a piece at a time
+straight into the data cells. Repair and recover never open the shards
+they rebuild, so a broken one cannot stop its own rebuild.
 """
 
 from __future__ import annotations
@@ -33,6 +36,7 @@ from __future__ import annotations
 import contextlib
 import functools
 import os
+import stat
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -380,21 +384,24 @@ def _set_bytes(blob: bytes) -> bytes:
     return blob[:_NODE_AT] + blob[_NODE_AT + 2 : HEADER_SIZE]
 
 
-def load_shard_set(in_dir) -> ShardSet:
+def load_shard_set(in_dir, skip=()) -> ShardSet:
     """Headers of all shards present, validated as one consistent set.
 
     The first header is validated in full; every other one whose bytes,
     but for node_index, equal it shares its fields, and only one that
     differs is unpacked, to name the cause. A shard whose size disagrees
-    with its header is left out (``dropped``).
+    with its header is left out (``dropped``). The shard files of the
+    nodes in ``skip``, those about to be rebuilt, are never opened.
     """
     in_dir = Path(in_dir)
     found = ShardSet()
     reference = None
+    skipped = {shard_filename(node) for node in skip}
     try:
         names = sorted(
             name for name in os.listdir(in_dir)
             if name.startswith("shard_") and name.endswith(".pgb")
+            and name not in skipped
         )
     except OSError:  # a missing directory holds no shards
         names = []
@@ -426,6 +433,10 @@ def load_shard_set(in_dir) -> ShardSet:
             found[node] = (header, path)
         else:
             found.dropped[node] = f"{path.name} left out: {size} B, expected {expected}"
+    if skip and not found:
+        raise InsufficientDataError(
+            f"no surviving shards to rebuild from in {in_dir}{found.note()}"
+        )
     if not found:
         raise DataError(f"no shards found in {in_dir}{found.note()}")
     return found
@@ -475,8 +486,11 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         raise ParameterError(f"shard format v2 cannot store family {params.family!r}")
     out_dir = Path(out_dir)
     with open(in_path, "rb", buffering=0) as src:
-        out_dir.mkdir(parents=True, exist_ok=True)  # a missing input makes no dir
-        length = os.fstat(src.fileno()).st_size
+        info = os.fstat(src.fileno())
+        if not stat.S_ISREG(info.st_mode):  # a pipe has no size to store
+            raise ParameterError(f"{in_path}: input is not a regular file")
+        out_dir.mkdir(parents=True, exist_ok=True)  # a bad input makes no dir
+        length = info.st_size
         ds = params.data_symbols
         stripe_bytes = ds * (params.w // 8)
         sample = ShardHeader(
@@ -492,27 +506,34 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         )
         headers = [replace(sample, node_index=node) for node in range(1, params.n + 1)]
 
-        # each thread transposes its chunks into one column buffer that it
-        # keeps, reading the file a piece at a time: no chunk allocates,
+        # each thread keeps one flat buffer and builds each chunk's stripe,
+        # an (n, s+1, count) array, in its prefix, reading the file a piece
+        # at a time straight into the data cells: no chunk allocates,
         # faults in and frees a chunk-sized array
         buffers = threading.local()
+        n, s, k, kp = params.n, params.s, params.k, params.kprime
         piece = max(1, _PIECE_BYTES // stripe_bytes)
 
         def encode_chunk(stripes: range, fds: list[int]):
             count = len(stripes)
-            if getattr(buffers, "count", -1) < count:
-                buffers.count = count
-                buffers.columns = np.empty((ds, count), sample.dtype)
-            columns = buffers.columns[:, :count]
+            size = n * (s + 1) * count
+            buf = getattr(buffers, "cells", None)
+            if buf is None or buf.size < size:
+                buf = buffers.cells = np.empty(size, sample.dtype)
+            cells = buf[:size].reshape(n, s + 1, count)
             for a in range(0, count, piece):
                 rows = np.zeros((min(piece, count - a), ds), sample.dtype)
                 flat = rows.reshape(-1).view(np.uint8)
                 start = (stripes.start + a) * stripe_bytes
                 # past the end of the file, the last stripe stays zero
                 _pread(src.fileno(), flat[: length - start], start, in_path)
-                columns[:, a : a + len(rows)] = rows.T
-            grid = stripe.encode_stripe(params, list(columns))
-            for header, fd, row in zip(headers, fds, grid.cells):
+                # a stripe's data is column 1's k symbols, ..., column s's,
+                # then column s+1's k'
+                b = a + len(rows)
+                cells[:k, :s, a:b] = rows[:, : s * k].reshape(-1, s, k).transpose(2, 1, 0)
+                cells[:kp, s, a:b] = rows[:, s * k :].T
+            stripe.encode_cells(params, cells)
+            for header, fd, row in zip(headers, fds, cells):
                 _write_row(fd, header, stripes, row)
 
         _write_shards(out_dir, headers, encode_chunk)
@@ -546,19 +567,17 @@ def _survivors(in_dir: Path, nodes: list[int]):
     """The shard set without ``nodes``, its code, and a header per node.
 
     ``nodes`` are the shards to rebuild: they are checked against the code
-    before anything is written, and never read.
+    before anything is written, and their files are never opened, so a
+    broken one cannot stop its own rebuild.
     """
     if not nodes:
         raise ParameterError("no failed nodes given")
-    shard_set = load_shard_set(in_dir)
+    shard_set = load_shard_set(in_dir, skip=nodes)
     sample = next(iter(shard_set.values()))[0]
     params = sample.params()
     for node in nodes:
         if not 1 <= node <= params.n:
             raise ParameterError(f"node {node} out of [1, {params.n}]")
-        shard_set.pop(node, None)
-    if not shard_set:
-        raise InsufficientDataError("no surviving shards to rebuild from")
     return shard_set, params, [replace(sample, node_index=node) for node in nodes]
 
 

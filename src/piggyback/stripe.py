@@ -8,17 +8,22 @@ s columns is summed is the only thing the layouts disagree on: the
 placement rules ``piggyback_index`` (design1) and ``piggyback_target``
 (design2) sit next to ``build_map``, and every operation below reads the
 placement from that map. Symbols may be ints or numpy stripe arrays
-throughout. ``decode_stripe`` is the one path from surviving rows to the
-stripe (the r+1 sweep and its ``FailurePattern`` included). It chooses the
-exact k cells each MDS decode takes and checks every supplied symbol
-outside them. Columns 1..s are s codewords of one code decoded from the
-same k rows, so on stripe arrays they are one MDS solve over (s, ...)
-blocks; plain ints, and the r+1 sweep, decode column by column. A row of
-arrays may be one (s+1, ...) array, the form in which ``recover_nodes``,
-the one multi-node recovery, reads each node with one call. ``design1`` and
-``design2`` re-export these names, because the benchmark in ``perfbench/``
-patches and calls them there; the only function they define is
-``design2.recover_failures``, that benchmark's name for ``recover_nodes``.
+throughout. On stripe arrays, ``encode_cells`` fills one (n, s+1, ...)
+array in place: each code's parity is one ``MdsCode.encode`` over
+(width, ...) row blocks, columns 1..s together, and column s+1 with them
+when k' = k, as all s+1 columns are then codewords of one code; plain
+ints encode column by column. ``decode_stripe`` is the one path from
+surviving rows to the stripe (the r+1 sweep and its ``FailurePattern``
+included). It chooses the exact k cells each MDS decode takes and checks
+every supplied symbol outside them. Columns 1..s are s codewords of one
+code decoded from the same k rows, so on stripe arrays they are one MDS
+solve over (s, ...) blocks; plain ints, and the r+1 sweep, decode column
+by column. A row of arrays may be one (s+1, ...) array, the form in which
+``recover_nodes``, the one multi-node recovery, reads each node with one
+call. ``design1`` and ``design2`` re-export these names, because the
+benchmark in ``perfbench/`` patches and calls them there; the only
+function they define is ``design2.recover_failures``, that benchmark's
+name for ``recover_nodes``.
 """
 
 from __future__ import annotations
@@ -163,14 +168,56 @@ def _stripe_rows(params: CodeParams, cols: list, last_cw, sums: dict) -> list:
     return [[col[j] for col in cols] + [last[j]] for j in range(params.n)]
 
 
+def encode_cells(params: CodeParams, cells: np.ndarray) -> None:
+    """Fill the (n, s+1, ...) stripe array ``cells`` in place from its data.
+
+    The data sits in the systematic cells: rows 1..k of columns 1..s and
+    rows 1..k' of column s+1; every other cell is overwritten. Each code's
+    parity is one ``MdsCode.encode`` over the rows' contiguous
+    (width, ...) blocks: columns 1..s, and column s+1 with them when
+    k' = k, since all s+1 columns are then codewords of one code. Then
+    each piggyback sum is XORed into column s+1, which for k' = 0 starts
+    from the sum's first contributor.
+    """
+    s, k, kp = params.s, params.k, params.kprime
+    width = s + 1 if kp == k else s
+    parity = params.mds_first.encode(list(cells[:k, :width]))[k:]
+    for row, block in enumerate(parity, k):
+        cells[row, :width] = block
+    if 0 < kp < k:
+        parity = params.mds_last.encode(list(cells[:kp, s]))[kp:]
+        for row, block in enumerate(parity, kp):
+            cells[row, s] = block
+    for row, ((ci, cj), *rest) in build_map(params).sums.items():
+        last = cells[row - 1, s, ...]  # a view, also for 0-d symbols
+        if kp:
+            last ^= cells[cj - 1, ci - 1]
+        else:
+            last[...] = cells[cj - 1, ci - 1]
+        for ci, cj in rest:
+            last ^= cells[cj - 1, ci - 1]
+
+
 def encode_stripe(params: CodeParams, data) -> SymbolGrid:
-    """Encode s*k + k' data symbols into the n x (s+1) stripe."""
+    """Encode s*k + k' data symbols into the n x (s+1) stripe.
+
+    Stripe arrays fill one (n, s+1, ...) array in their dtype through
+    ``encode_cells``; plain ints encode column by column.
+    """
     data = list(data)
     if len(data) != params.data_symbols:
         raise ParameterError(
             f"expected {params.data_symbols} data symbols, got {len(data)}"
         )
     s, k = params.s, params.k
+    if isinstance(data[0], np.ndarray):
+        cells = np.empty((params.n, s + 1, *data[0].shape), np.result_type(*data))
+        for i in range(s):
+            cells[:k, i] = data[i * k : (i + 1) * k]
+        if params.kprime:
+            cells[: params.kprime, s] = data[s * k :]
+        encode_cells(params, cells)
+        return SymbolGrid(params, cells)
     cols = [params.mds_first.encode(data[i * k : (i + 1) * k]) for i in range(s)]
     last_cw = params.mds_last.encode(data[s * k :]) if params.kprime else None
     sums = _sum_values(build_map(params), cols)

@@ -452,3 +452,35 @@ def test_one_parser_serves_every_call(tmp_path, capsys):
     assert run(["analyze", "gamma", *code_flags(params)]) == 0
     assert capsys.readouterr().out.split("\n")[0] == ",".join(analysis.CSV_HEADER)
     assert cli.build_parser() is cli.build_parser()
+
+
+def test_repair_of_an_empty_shard_exits_0(tmp_path, capsys):
+    src = write_file(tmp_path, 1000, seed=14)
+    out_dir = tmp_path / "shards"
+    run(["encode", *code_flags(CodeParams(8, 6, 1, 3, w=8)), "--in", src,
+         "--out-dir", out_dir])
+    third = out_dir / shards.shard_filename(3)
+    original = third.read_bytes()
+    third.write_bytes(b"")
+    capsys.readouterr()
+    assert run(["repair", "--node", 3, "--in-dir", out_dir]) == 0
+    assert json.loads(capsys.readouterr().out)["node"] == 3
+    assert third.read_bytes() == original
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_encode_from_a_pipe_exits_2(tmp_path, capsys):
+    out_dir = tmp_path / "shards"
+    r, w = os.pipe()
+    try:
+        os.write(w, bytes(5000))
+        os.close(w)
+        code = run(["encode", *code_flags(CodeParams(8, 6, 1, 3, w=8)),
+                    "--in", f"/proc/self/fd/{r}", "--out-dir", out_dir])
+    finally:
+        os.close(r)
+    assert code == 2
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "parameter"
+    assert "not a regular file" in json.loads(err[0])["message"]
+    assert not out_dir.exists()

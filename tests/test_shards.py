@@ -165,6 +165,50 @@ def test_encode_matches_scalar_reference(tmp_path, monkeypatch, params, w):
         assert payload == want[node], node
 
 
+@pytest.mark.parametrize("params,per_chunk", [
+    (dict(n=14, k=10, s=2, kprime=10), 1),  # all s+1 columns: one code
+    (dict(n=14, k=10, s=2, kprime=0), 1),  # column s+1 holds only sums
+    (dict(n=11, k=7, s=2, kprime=4), 2),  # the (n, k') code once more
+], ids=["design1_mds", "design2", "design1"])
+def test_one_encode_per_code_per_chunk(tmp_path, monkeypatch, params, per_chunk):
+    # a chunk's parity is one MdsCode.encode per code, over the columns
+    # that code fills, whichever thread encodes the chunk
+    p = CodeParams(w=8, **params)
+    stripe_bytes = p.data_symbols  # a byte per symbol at w=8
+    monkeypatch.setattr(shards, "CHUNK_BYTES", 10 * stripe_bytes)
+    src = write_file(tmp_path, 25 * stripe_bytes - 3, seed=20)  # chunks of 10, 10, 5
+    calls, lock = [0], threading.Lock()
+    encode = MdsCode.encode
+
+    def counted(self, data):
+        with lock:
+            calls[0] += 1
+        return encode(self, data)
+
+    monkeypatch.setattr(MdsCode, "encode", counted)
+    shards.encode_file(p, src, tmp_path / "shards")
+    monkeypatch.setattr(MdsCode, "encode", encode)
+    assert calls[0] == 3 * per_chunk
+    shards.decode_file(tmp_path / "shards", tmp_path / "out.bin")
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_encode_refuses_a_pipe(tmp_path):
+    # a pipe has no size: the header would record 0 bytes and every
+    # shard would be empty, so encode refuses it before making a dir
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    r, w = os.pipe()
+    try:
+        os.write(w, bytes(range(250)) * 20)
+        os.close(w)
+        with pytest.raises(ParameterError, match=f"/proc/self/fd/{r}.*not a regular file"):
+            shards.encode_file(p, f"/proc/self/fd/{r}", tmp_path / "shards")
+    finally:
+        os.close(r)
+    assert not (tmp_path / "shards").exists()
+
+
 def test_zero_length_file_has_zero_stripes(tmp_path):
     p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
     src = write_file(tmp_path, 0)
@@ -448,6 +492,36 @@ def test_repair_falls_back_when_read_set_shard_left_out(tmp_path):
     assert first.read_bytes() == original
     assert report.reads == tuple((i, c) for i in (2, 4, 5, 6, 7, 8) for c in (1, 2))
     assert report.bandwidth == 12
+
+
+def test_broken_shard_being_rebuilt_is_never_read(tmp_path):
+    # the shards asked for are rebuilt, not read: an empty or cut shard 3,
+    # or a bad magic in shard 5, cannot stop its own rebuild
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 2000, seed=22)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    third, fifth = (out_dir / shards.shard_filename(node) for node in (3, 5))
+    original = {path: path.read_bytes() for path in (third, fifth)}
+    third.write_bytes(b"")
+    shards.repair_shard(out_dir, 3)
+    assert third.read_bytes() == original[third]
+    third.write_bytes(original[third][:10])
+    fifth.write_bytes(b"XXXX" + original[fifth][4:])
+    assert shards.recover_shards(out_dir, [3, 5]) == [3, 5]
+    assert {path: path.read_bytes() for path in (third, fifth)} == original
+
+
+def test_no_shard_but_the_one_to_rebuild_is_a_shortfall(tmp_path):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 100, seed=23)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    for node in range(2, 9):
+        (out_dir / shards.shard_filename(node)).unlink()
+    with pytest.raises(InsufficientDataError, match="no surviving shards"):
+        shards.repair_shard(out_dir, 1)
+    assert list(shards.load_shard_set(out_dir)) == [1]
 
 
 def test_shortfall_names_left_out_shard(tmp_path):
