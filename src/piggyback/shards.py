@@ -27,8 +27,10 @@ a repair, which reads little, stays on the caller's thread. Memory grows
 with the worker count, not with the file size. Encode builds each chunk's
 (n, s+1, count) stripe in place in a buffer that each thread keeps,
 reading the input, which must be a regular file, a piece at a time
-straight into the data cells. Repair and recover never open the shards
-they rebuild, so a broken one cannot stop its own rebuild.
+straight into the data cells. ``load_shard_set`` opens each survivor once
+per operation, and the set keeps the descriptor for every read until it
+is closed. Repair and recover never open the shards they rebuild, so a
+broken one cannot stop its own rebuild.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ import stat
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -176,6 +178,10 @@ class ShardHeader:
     def params(self) -> CodeParams:
         return CodeParams(n=self.n, k=self.k, s=self.s, kprime=self.kprime, w=self.w)
 
+    def for_node(self, node: int) -> "ShardHeader":
+        """This header with ``node_index`` set to ``node``."""
+        return ShardHeader(**{**self.__dict__, "node_index": node})
+
 
 def shard_filename(node: int) -> str:
     return f"shard_{node:04d}.pgb"
@@ -265,7 +271,7 @@ def _pwrite(fd: int, data, offset: int):
 
 
 @contextlib.contextmanager
-def _named(path: Path):
+def _named(path):
     """Re-raise an OSError that names a file with ``path``, the file the
     caller asked for, instead of the temp file standing in for it."""
     try:
@@ -277,7 +283,7 @@ def _named(path: Path):
 
 
 @contextlib.contextmanager
-def _atomic_files(paths: list[Path]):
+def _atomic_files(paths: list):
     """Yield a write fd per path, each on a temp file unique to this call.
 
     On success every temp file is renamed over its path; on any failure
@@ -285,7 +291,8 @@ def _atomic_files(paths: list[Path]):
     so the shard glob never matches it; concurrent writers of one path
     never share it.
     """
-    tmps = [path.with_name(f".{path.name}.{os.urandom(8).hex()}.tmp") for path in paths]
+    tmps = [os.path.join(head, f".{name}.{os.urandom(8).hex()}.tmp")
+            for head, name in map(os.path.split, paths)]
     fds: list[int] = []
     try:
         for tmp, path in zip(tmps, paths):
@@ -299,20 +306,18 @@ def _atomic_files(paths: list[Path]):
                 os.replace(tmp, path)
     except BaseException:
         for tmp in tmps:
-            tmp.unlink(missing_ok=True)
+            Path(tmp).unlink(missing_ok=True)
         raise
     finally:
         for fd in fds:
             os.close(fd)
 
 
-def _write_shards(
-    out_dir: Path, headers: list[ShardHeader], task, helped: bool = True
-) -> list:
+def _write_shards(out_dir, headers: list[ShardHeader], task, helped: bool = True) -> list:
     """Write a shard per header, chunk by chunk; ``task(stripes, fds)`` fills
     each chunk, fds in header order. Returns the tasks' results; ``helped``
     is passed to ``_run_chunks``."""
-    paths = [out_dir / shard_filename(header.node_index) for header in headers]
+    paths = [os.path.join(out_dir, shard_filename(header.node_index)) for header in headers]
     with _atomic_files(paths) as fds:
         for header, fd in zip(headers, fds):
             _pwrite(fd, header.pack(), 0)
@@ -324,19 +329,6 @@ def _write_row(fd: int, header: ShardHeader, stripes: range, row):
     """Store one node's row of a chunk with one write: its s+1 column
     segments are adjacent, from the first one on."""
     _pwrite(fd, _payload_from_row(header, row), header.segments(stripes)[0][0])
-
-
-@contextlib.contextmanager
-def _open_shards(shard_set: "ShardSet"):
-    """{node: read fd} for every shard of the set, closed on exit."""
-    fds: dict[int, int] = {}
-    try:
-        for node, (_, path) in shard_set.items():
-            fds[node] = os.open(path, os.O_RDONLY)
-        yield fds
-    finally:
-        for fd in fds.values():
-            os.close(fd)
 
 
 @contextlib.contextmanager
@@ -368,11 +360,25 @@ def read_shard(path) -> tuple[ShardHeader, bytes]:
 
 
 class ShardSet(dict):
-    """Usable shards {node: (header, path)}; ``dropped`` maps the rest to why."""
+    """Usable shards {node: open read fd}, closed on exit; ``header`` is the
+    set's, validated once, ``paths`` names each file for messages, and
+    ``dropped`` maps the nodes left out to why."""
 
     def __init__(self):
         super().__init__()
+        self.header: ShardHeader | None = None
+        self.paths: dict[int, str] = {}
         self.dropped: dict[int, str] = {}
+
+    def __enter__(self) -> "ShardSet":
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+
+    def close(self):
+        while self:
+            os.close(self.popitem()[1])
 
     def note(self) -> str:
         """Suffix naming the shards left out, for a shortfall message."""
@@ -385,17 +391,17 @@ def _set_bytes(blob: bytes) -> bytes:
 
 
 def load_shard_set(in_dir, skip=()) -> ShardSet:
-    """Headers of all shards present, validated as one consistent set.
+    """All shards present, each opened once, validated as one consistent set.
 
-    The first header is validated in full; every other one whose bytes,
-    but for node_index, equal it shares its fields, and only one that
-    differs is unpacked, to name the cause. A shard whose size disagrees
-    with its header is left out (``dropped``). The shard files of the
-    nodes in ``skip``, those about to be rebuilt, are never opened.
+    The first header is validated in full; every other one must equal it
+    in every byte but node_index, and only one that differs is unpacked, to
+    name the cause. A shard whose size disagrees with the header is closed
+    at once and left out (``dropped``); the files of the nodes in ``skip``,
+    those about to be rebuilt, are never opened. The set keeps the other
+    descriptors until it is closed, and is closed before any raise.
     """
-    in_dir = Path(in_dir)
+    prefix = os.path.join(in_dir, "")
     found = ShardSet()
-    reference = None
     skipped = {shard_filename(node) for node in skip}
     try:
         names = sorted(
@@ -405,71 +411,74 @@ def load_shard_set(in_dir, skip=()) -> ShardSet:
         )
     except OSError:  # a missing directory holds no shards
         names = []
-    for name in names:
-        path = in_dir / name
-        fd = os.open(path, os.O_RDONLY)
-        try:
-            blob = os.read(fd, HEADER_SIZE)
+    fd = None
+    try:
+        for name in names:
+            path = prefix + name
+            fd = os.open(path, os.O_RDONLY)
+            blob = os.pread(fd, HEADER_SIZE, 0)
             size = os.fstat(fd).st_size
-        finally:
-            os.close(fd)
-        node = int.from_bytes(blob[_NODE_AT : _NODE_AT + 2], "little")
-        known = reference is not None and _set_bytes(blob) == same
-        if known and 1 <= node <= reference.n:
-            header = replace(reference, node_index=node)
-        else:
-            header = ShardHeader.unpack(blob)
-            if reference is None:
-                reference, same = header, _set_bytes(blob)
-            else:  # other set bytes: the packing is one-to-one, so other fields
+            node = int.from_bytes(blob[_NODE_AT : _NODE_AT + 2], "little")
+            header = found.header
+            if header is None:
+                header = found.header = ShardHeader.unpack(blob)
+                same, expected = _set_bytes(blob), HEADER_SIZE + header.payload_bytes
+            elif _set_bytes(blob) != same or not 1 <= node <= header.n:
+                # unpack names a corrupt field; a valid header with other set
+                # bytes has other fields, as the packing is one-to-one
+                ShardHeader.unpack(blob)
                 raise DataError(
                     f"inconsistent shard set: {name} disagrees with "
-                    f"{shard_filename(reference.node_index)}"
+                    f"{shard_filename(header.node_index)}"
                 )
-        if node in found or node in found.dropped:
-            raise DataError(f"duplicate shard for node {node}")
-        expected = HEADER_SIZE + header.payload_bytes
-        if size == expected:
-            found[node] = (header, path)
-        else:
-            found.dropped[node] = f"{path.name} left out: {size} B, expected {expected}"
+            if node in found or node in found.dropped:
+                raise DataError(f"duplicate shard for node {node}")
+            if size == expected:
+                found[node], found.paths[node] = fd, path
+            else:
+                os.close(fd)
+                found.dropped[node] = f"{name} left out: {size} B, expected {expected}"
+            fd = None
+    except BaseException:
+        if fd is not None:
+            os.close(fd)
+        found.close()
+        raise
     if skip and not found:
         raise InsufficientDataError(
-            f"no surviving shards to rebuild from in {in_dir}{found.note()}"
+            f"no surviving shards to rebuild from in {Path(in_dir)}{found.note()}"
         )
     if not found:
-        raise DataError(f"no shards found in {in_dir}{found.note()}")
+        raise DataError(f"no shards found in {Path(in_dir)}{found.note()}")
     return found
 
 
 class ShardReader:
-    """Reader over one chunk, ``stripes``, of a shard set.
+    """Reader over one chunk, ``stripes``, of an open shard set.
 
-    ``fds`` maps each node of the set to its open shard file. Every call
-    is one ``pread``: ``reader(node, col)`` reads one column's segment,
-    and ``reader(node)`` the node's whole row, its s+1 adjacent segments.
-    Decode and recover read each survivor's row once; repair reads
-    through ``ReadTracker``, which asks once per cell, so a repair reads
-    exactly its read set: the columns it uses of the shards it uses.
+    Every call is one ``pread`` on the descriptor the set opened:
+    ``reader(node, col)`` reads one column's segment, and ``reader(node)``
+    the node's whole row, its s+1 adjacent segments. Decode and recover
+    read each survivor's row once; repair reads through ``ReadTracker``,
+    which asks once per cell, so a repair reads exactly its read set: the
+    columns it uses of the shards it uses.
     """
 
-    def __init__(self, shard_set: ShardSet, fds: dict[int, int], stripes: range):
+    def __init__(self, shard_set: ShardSet, stripes: range):
         self._set = shard_set
-        self._fds = fds
-        # the same in every shard of a set
-        self._segments = next(iter(shard_set.values()))[0].segments(stripes)
+        self._segments = shard_set.header.segments(stripes)
 
     def __call__(self, node: int, col: int | None = None) -> np.ndarray:
         """Node's symbols of column ``col`` over the chunk, contiguous; with
         no ``col``, its row as one (s+1, count) array, a column per row."""
         if node not in self._set:
             raise RepairError(f"shard for node {node} is not available{self._set.note()}")
-        header, path = self._set[node]
+        header = self._set.header
         offset, size = self._segments[0 if col is None else col - 1]
         count = size // header.symbol_bytes
         shape = (len(self._segments), count) if col is None else count
         symbols = np.empty(shape, header.dtype)
-        _pread(self._fds[node], symbols, offset, path)
+        _pread(self._set[node], symbols, offset, self._set.paths[node])
         return symbols
 
 
@@ -494,17 +503,11 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         ds = params.data_symbols
         stripe_bytes = ds * (params.w // 8)
         sample = ShardHeader(
-            design=2 if params.variant is Variant.DESIGN2 else 1,
-            n=params.n,
-            k=params.k,
-            s=params.s,
-            kprime=params.kprime,
-            w=params.w,
-            node_index=1,
-            original_length=length,
-            stripe_count=-(-length // stripe_bytes),
+            design=2 if params.variant is Variant.DESIGN2 else 1, n=params.n, k=params.k,
+            s=params.s, kprime=params.kprime, w=params.w, node_index=1,
+            original_length=length, stripe_count=-(-length // stripe_bytes),
         )
-        headers = [replace(sample, node_index=node) for node in range(1, params.n + 1)]
+        headers = [sample.for_node(node) for node in range(1, params.n + 1)]
 
         # each thread keeps one flat buffer and builds each chunk's stripe,
         # an (n, s+1, count) array, in its prefix, reading the file a piece
@@ -542,29 +545,28 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
 
 def decode_file(in_dir, out_path) -> int:
     """Rebuild the original file from k shards, or k-1 by the r+1 sweep."""
-    shard_set = load_shard_set(in_dir)
-    header = next(iter(shard_set.values()))[0]
-    params = header.params()
-    stripe_bytes = header.stripe_bytes
-    length = header.original_length
-    with _shortfall_noted(shard_set):
+    with load_shard_set(in_dir) as shard_set, _shortfall_noted(shard_set):
+        header = shard_set.header
+        params = header.params()
+        length = header.original_length
         stripe.require_rows(params, len(shard_set))
-        with _open_shards(shard_set) as fds, _atomic_files([Path(out_path)]) as (out,):
+        with _atomic_files([out_path]) as (out,):
 
             def decode_chunk(stripes: range):
-                reader = ShardReader(shard_set, fds, stripes)
+                reader = ShardReader(shard_set, stripes)
                 rows = {node: reader(node) for node in shard_set}
                 data = stripe.decode_from_k(params, rows)
                 table = np.stack(data, axis=1).astype(header.dtype, copy=False)
-                start = stripes.start * stripe_bytes
+                start = stripes.start * header.stripe_bytes
                 _pwrite(out, table.reshape(-1).view(np.uint8)[: length - start], start)
 
             _run_chunks(decode_chunk, header.chunks())
     return length
 
 
-def _survivors(in_dir: Path, nodes: list[int]):
-    """The shard set without ``nodes``, its code, and a header per node.
+@contextlib.contextmanager
+def _survivors(in_dir, nodes: list[int]):
+    """The open shard set without ``nodes``, its code, and a header per node.
 
     ``nodes`` are the shards to rebuild: they are checked against the code
     before anything is written, and their files are never opened, so a
@@ -572,16 +574,15 @@ def _survivors(in_dir: Path, nodes: list[int]):
     """
     if not nodes:
         raise ParameterError("no failed nodes given")
-    shard_set = load_shard_set(in_dir, skip=nodes)
-    sample = next(iter(shard_set.values()))[0]
-    params = sample.params()
-    for node in nodes:
-        if not 1 <= node <= params.n:
-            raise ParameterError(f"node {node} out of [1, {params.n}]")
-    return shard_set, params, [replace(sample, node_index=node) for node in nodes]
+    with load_shard_set(in_dir, skip=nodes) as shard_set:
+        params = shard_set.header.params()
+        for node in nodes:
+            if not 1 <= node <= params.n:
+                raise ParameterError(f"node {node} out of [1, {params.n}]")
+        yield shard_set, params, [shard_set.header.for_node(node) for node in nodes]
 
 
-def _recover_chunk(params: CodeParams, shard_set: ShardSet, fds, headers):
+def _recover_chunk(params: CodeParams, shard_set: ShardSet, headers):
     """Chunk task writing the recovered rows of ``headers``' nodes.
 
     Every node absent from the set is recovered with them.
@@ -590,7 +591,7 @@ def _recover_chunk(params: CodeParams, shard_set: ShardSet, fds, headers):
     failed = nodes + [node for node in range(1, params.n + 1) if node not in shard_set]
 
     def recover_chunk(stripes: range, outs: list[int]):
-        reader = ShardReader(shard_set, fds, stripes)
+        reader = ShardReader(shard_set, stripes)
         rows = stripe.recover_nodes(params, failed, reader)
         for header, out in zip(headers, outs):
             _write_row(out, header, stripes, rows[header.node_index])
@@ -605,12 +606,10 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
     is recovered from every present shard instead, as ``recover_shards``
     does; the report then lists every cell of those shards.
     """
-    in_dir = Path(in_dir)
-    shard_set, params, [header] = _survivors(in_dir, [node])
-    with _open_shards(shard_set) as fds:
+    with _survivors(in_dir, [node]) as (shard_set, params, [header]):
 
         def repair_chunk(stripes: range, outs: list[int]):
-            reader = ShardReader(shard_set, fds, stripes)
+            reader = ShardReader(shard_set, stripes)
             row, report = stripe.repair_node(params, node, reader)
             _write_row(outs[0], header, stripes, row)
             return report
@@ -622,8 +621,7 @@ def repair_shard(in_dir, node: int) -> tuple[ShardHeader, RepairReport]:
             report = _write_shards(in_dir, [header], repair_chunk, helped=False)[0]
         except RepairError:
             with _shortfall_noted(shard_set):
-                task = _recover_chunk(params, shard_set, fds, [header])
-                _write_shards(in_dir, [header], task)
+                _write_shards(in_dir, [header], _recover_chunk(params, shard_set, [header]))
             reads = tuple(
                 (i, c) for i in sorted(shard_set) for c in range(1, params.s + 2)
             )
@@ -638,9 +636,8 @@ def recover_shards(in_dir, nodes) -> list[int]:
     with the requested ones; ``stripe.recover_nodes`` reads the rest and
     checks each of them. Only the requested shards are written.
     """
-    in_dir = Path(in_dir)
     nodes = sorted(set(nodes))
-    shard_set, params, headers = _survivors(in_dir, nodes)
-    with _open_shards(shard_set) as fds, _shortfall_noted(shard_set):
-        _write_shards(in_dir, headers, _recover_chunk(params, shard_set, fds, headers))
+    with _survivors(in_dir, nodes) as (shard_set, params, headers):
+        with _shortfall_noted(shard_set):
+            _write_shards(in_dir, headers, _recover_chunk(params, shard_set, headers))
     return nodes

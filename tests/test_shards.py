@@ -252,7 +252,8 @@ def test_decode_odd_stripe_count(tmp_path, w, size):
     src = write_file(tmp_path, size, seed=size)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
-    assert shards.load_shard_set(out_dir)[1][0].stripe_count % 2 == 1
+    with shards.load_shard_set(out_dir) as shard_set:
+        assert shard_set.header.stripe_count % 2 == 1
     for node in (2, 5):
         (out_dir / shards.shard_filename(node)).unlink()
     out = tmp_path / "restored.bin"
@@ -465,9 +466,9 @@ def test_truncated_survivor_is_left_out(tmp_path):
     first.unlink()
     third = out_dir / shards.shard_filename(3)
     third.write_bytes(third.read_bytes()[:-1])
-    shard_set = shards.load_shard_set(out_dir)
-    assert sorted(shard_set) == [2, 4, 5, 6, 7, 8]
-    assert list(shard_set.dropped) == [3]
+    with shards.load_shard_set(out_dir) as shard_set:
+        assert sorted(shard_set) == [2, 4, 5, 6, 7, 8]
+        assert list(shard_set.dropped) == [3]
     assert shards.recover_shards(out_dir, [1]) == [1]
     assert first.read_bytes() == original
     first.unlink()
@@ -521,7 +522,8 @@ def test_no_shard_but_the_one_to_rebuild_is_a_shortfall(tmp_path):
         (out_dir / shards.shard_filename(node)).unlink()
     with pytest.raises(InsufficientDataError, match="no surviving shards"):
         shards.repair_shard(out_dir, 1)
-    assert list(shards.load_shard_set(out_dir)) == [1]
+    with shards.load_shard_set(out_dir) as shard_set:
+        assert list(shard_set) == [1]
 
 
 def test_shortfall_names_left_out_shard(tmp_path):
@@ -588,11 +590,125 @@ def test_shard_reader_missing_node(tmp_path):
     src = write_file(tmp_path, 100, seed=10)
     out_dir = tmp_path / "shards"
     shards.encode_file(p, src, out_dir)
-    shard_set = shards.load_shard_set(out_dir)
-    shard_set.pop(3)
-    reader = shards.ShardReader(shard_set, {}, range(0))
-    with pytest.raises(RepairError, match="node 3"):
-        reader(3, 1)
+    with shards.load_shard_set(out_dir) as shard_set:
+        os.close(shard_set.pop(3))
+        reader = shards.ShardReader(shard_set, range(0))
+        with pytest.raises(RepairError, match="node 3"):
+            reader(3, 1)
+
+
+class OpenedShards:
+    """Records ``os.open`` of shard files (temp files excluded) by name, and
+    which of those descriptors are still open."""
+
+    def __init__(self, monkeypatch):
+        self.counts: dict[str, int] = {}
+        self.open: dict[int, str] = {}
+        real_open, real_close = os.open, os.close
+
+        def counted_open(path, flags, *args, **kwargs):
+            fd = real_open(path, flags, *args, **kwargs)
+            name = os.path.basename(os.fspath(path))
+            if name.startswith("shard_") and name.endswith(".pgb"):
+                self.counts[name] = self.counts.get(name, 0) + 1
+                self.open[fd] = name
+            return fd
+
+        def counted_close(fd):
+            self.open.pop(fd, None)
+            real_close(fd)
+
+        monkeypatch.setattr(os, "open", counted_open)
+        monkeypatch.setattr(os, "close", counted_close)
+
+    def take(self) -> dict[str, int]:
+        counts, self.counts = self.counts, {}
+        return counts
+
+
+def once(nodes) -> dict[str, int]:
+    return {shards.shard_filename(node): 1 for node in nodes}
+
+
+def test_each_survivor_is_opened_once_per_operation(tmp_path, monkeypatch):
+    # three chunks per operation; the shards being rebuilt are never opened
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    small_chunks(monkeypatch, p)
+    src = write_file(tmp_path, 13 * p.data_symbols - 1, seed=24)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    opened = OpenedShards(monkeypatch)
+    shards.decode_file(out_dir, tmp_path / "out.bin")
+    assert opened.take() == once(range(1, 9))
+    shards.repair_shard(out_dir, 2)
+    assert opened.take() == once([1, *range(3, 9)])
+    assert shards.recover_shards(out_dir, [1, 4]) == [1, 4]
+    assert opened.take() == once([2, 3, *range(5, 9)])
+    # node 1's read set has shard 3, left out for its size: the fallback
+    # to recovery reads the shards the repair already opened
+    third = out_dir / shards.shard_filename(3)
+    third.write_bytes(third.read_bytes() + b"\x00")
+    assert shards.repair_shard(out_dir, 1)[1].bandwidth == 6 * 2
+    assert opened.take() == once(range(2, 9))
+    assert not opened.open
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
+
+
+def test_left_out_shard_is_closed_at_once(tmp_path, monkeypatch):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 1000, seed=25)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    third = out_dir / shards.shard_filename(3)
+    third.write_bytes(third.read_bytes()[:-1])
+    opened = OpenedShards(monkeypatch)
+    with shards.load_shard_set(out_dir) as shard_set:
+        assert list(shard_set.dropped) == [3]
+        assert sorted(opened.open.values()) == [
+            shards.shard_filename(node) for node in (1, 2, 4, 5, 6, 7, 8)
+        ]
+    assert opened.take() == once(range(1, 9))
+    assert not opened.open
+
+
+def corrupt_fourth(out_dir):
+    path = out_dir / shards.shard_filename(4)
+    blob = path.read_bytes()
+    path.write_bytes(b"XXXX" + blob[4:])
+    return DataError, "bad magic"
+
+
+def duplicate_node(out_dir):
+    (out_dir / shards.shard_filename(6)).write_bytes(
+        (out_dir / shards.shard_filename(5)).read_bytes()
+    )
+    return DataError, "duplicate shard for node 5"
+
+
+def none_usable(out_dir):
+    for path in out_dir.iterdir():
+        path.write_bytes(path.read_bytes()[:-1])
+    return (DataError, InsufficientDataError), "shard_0008.pgb left out"
+
+
+@pytest.mark.parametrize("fault", [corrupt_fourth, duplicate_node, none_usable])
+@pytest.mark.parametrize("operation", [
+    lambda d, out: shards.load_shard_set(d),
+    lambda d, out: shards.decode_file(d, out),
+    lambda d, out: shards.repair_shard(d, 1),
+    lambda d, out: shards.recover_shards(d, [1, 2]),
+], ids=["load", "decode", "repair", "recover"])
+def test_failed_load_closes_every_descriptor(tmp_path, monkeypatch, fault, operation):
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 1000, seed=26)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    error, cause = fault(out_dir)
+    opened = OpenedShards(monkeypatch)
+    with pytest.raises(error, match=cause):
+        operation(out_dir, tmp_path / "out.bin")
+    assert opened.counts and not opened.open
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_concurrent_writes_of_one_shard(tmp_path):
@@ -693,9 +809,8 @@ def test_blocks_match_one_block(tmp_path, monkeypatch, params, w, stripes):
     raw = src.read_bytes()
     whole = every_output(p, src, tmp_path / "whole")
     small_chunks(monkeypatch, p)
-    assert len(shards.load_shard_set(tmp_path / "whole")[1][0].chunks()) == max(
-        1, -(-stripes // CHUNK_STRIPES)
-    )
+    with shards.load_shard_set(tmp_path / "whole") as shard_set:
+        assert len(shard_set.header.chunks()) == max(1, -(-stripes // CHUNK_STRIPES))
     chunked = every_output(p, src, tmp_path / "chunks")
     for out, chunk in ((whole, max(1, stripes)), (chunked, CHUNK_STRIPES)):
         want = reference_payloads(p, raw, chunk)
@@ -810,7 +925,8 @@ def test_repair_reads_exactly_its_read_set(tmp_path, monkeypatch, params, w):
     monkeypatch.setattr(shards, "_pwrite", counted_write)
     paths = shards.encode_file(p, src, out_dir)
     assert len(writes) == p.n + 3 * p.n
-    assert [len(c) for c in shards.load_shard_set(out_dir)[1][0].chunks()] == [5, 5, 3]
+    with shards.load_shard_set(out_dir) as shard_set:
+        assert [len(c) for c in shard_set.header.chunks()] == [5, 5, 3]
     read = []
     pread = shards._pread
 
