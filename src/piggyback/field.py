@@ -203,9 +203,6 @@ class Field:
             # "clip" gathers straight into out; a lane is always < 2^16
             if self.w == 16:
                 table.take(syms, out=out, mode="clip")
-            elif syms.flags.c_contiguous and not syms.size & 1:  # whole lanes
-                lanes = syms.reshape(-1).view("<u2")
-                table.take(lanes, out=out.reshape(-1).view("<u2"), mode="clip")
             else:
                 src, flat = np.ascontiguousarray(syms).reshape(-1), out.reshape(-1)
                 even = src.size & ~1

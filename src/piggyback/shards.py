@@ -42,7 +42,7 @@ import stat
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,10 +177,6 @@ class ShardHeader:
 
     def params(self) -> CodeParams:
         return CodeParams(n=self.n, k=self.k, s=self.s, kprime=self.kprime, w=self.w)
-
-    def for_node(self, node: int) -> "ShardHeader":
-        """This header with ``node_index`` set to ``node``."""
-        return ShardHeader(**{**self.__dict__, "node_index": node})
 
 
 def shard_filename(node: int) -> str:
@@ -503,11 +499,17 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         ds = params.data_symbols
         stripe_bytes = ds * (params.w // 8)
         sample = ShardHeader(
-            design=2 if params.variant is Variant.DESIGN2 else 1, n=params.n, k=params.k,
-            s=params.s, kprime=params.kprime, w=params.w, node_index=1,
-            original_length=length, stripe_count=-(-length // stripe_bytes),
+            design=2 if params.variant is Variant.DESIGN2 else 1,
+            n=params.n,
+            k=params.k,
+            s=params.s,
+            kprime=params.kprime,
+            w=params.w,
+            node_index=1,
+            original_length=length,
+            stripe_count=-(-length // stripe_bytes),
         )
-        headers = [sample.for_node(node) for node in range(1, params.n + 1)]
+        headers = [replace(sample, node_index=node) for node in range(1, params.n + 1)]
 
         # each thread keeps one flat buffer and builds each chunk's stripe,
         # an (n, s+1, count) array, in its prefix, reading the file a piece
@@ -579,7 +581,8 @@ def _survivors(in_dir, nodes: list[int]):
         for node in nodes:
             if not 1 <= node <= params.n:
                 raise ParameterError(f"node {node} out of [1, {params.n}]")
-        yield shard_set, params, [shard_set.header.for_node(node) for node in nodes]
+        headers = [replace(shard_set.header, node_index=node) for node in nodes]
+        yield shard_set, params, headers
 
 
 def _recover_chunk(params: CodeParams, shard_set: ShardSet, headers):
