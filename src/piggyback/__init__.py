@@ -16,7 +16,7 @@ from .errors import (
     RepairError,
     UnsupportedPatternError,
 )
-from .field import Field, field, parity_vectors
+from .field import Field, field
 from .mds import MdsCheck, MdsCode, mds_code
 from .params import (
     CodeParams,
@@ -50,7 +50,6 @@ __all__ = [
     "field",
     "grid_reader",
     "mds_code",
-    "parity_vectors",
 ]
 
 __version__ = "0.1.0"

@@ -1,4 +1,4 @@
-"""GF(2^w) arithmetic and parity coefficient vectors.
+"""GF(2^w) arithmetic.
 
 Field elements are integers in [0, 2^w). Addition is XOR; multiplication
 uses log/antilog tables built from a primitive element eta, so results are
@@ -120,7 +120,7 @@ class Field:
 
     ``w`` is the bit width of a symbol, 8 or 16: the reduction polynomial
     is ``REDUCTION_POLY[w]`` and the primitive element ``ETA``, which build
-    the tables and the parity coefficient vectors.
+    the tables.
     """
 
     def __init__(self, w: int):
@@ -243,10 +243,6 @@ class Field:
             return 0
         return self._exp[self._log[a] * e % self.order]
 
-    def eta_pow(self, e: int) -> int:
-        """eta raised to e (e may be any integer)."""
-        return self._exp[e % self.order]
-
     def matmul(self, a, b, add) -> list[list[int]]:
         """add + a x b for coefficient matrices a (m x e), b (e x c), add (m x c).
 
@@ -341,20 +337,3 @@ def field(w: int) -> Field:
     """Shared Field instance for w."""
     return Field(w)
 
-
-def parity_vectors(k: int, m: int, fld: Field) -> list[list[int]]:
-    """m x k parity coefficient matrix.
-
-    Row j (1-based), column c (1-based) holds eta^(c*(j-1)), so row 1 is
-    all ones and row 2 is the consecutive powers eta^1..eta^k.
-    """
-    if m < 1 or k < 1:
-        raise ParameterError(f"parity_vectors needs m >= 1 and k >= 1, got m={m} k={k}")
-    if k >= fld.q - 1:
-        raise ParameterError(
-            f"k={k} too large for GF(2^{fld.w}): need k < {fld.q - 1}"
-        )
-    return [
-        [fld.eta_pow(c * j) for c in range(1, k + 1)]
-        for j in range(m)
-    ]

@@ -1,14 +1,9 @@
 """Systematic (n, k) MDS codes over GF(2^w).
 
-Two generator families are supported:
-
-* ``guaranteed_rs`` -- evaluation-based systematic Reed-Solomon: the data
-  defines a degree-(k-1) polynomial through k distinct points and the
-  parity symbols are its values at n-k further points. Every k x k
-  submatrix of the generator is invertible by construction.
-* ``vandermonde_literal`` -- parity row j holds the consecutive powers
-  eta^(c*(j-1)). Not guaranteed MDS for every (n, k, w); gate it with
-  ``verify_mds`` before trusting erasure decodes.
+The generator is evaluation-based systematic Reed-Solomon: the data
+defines a degree-(k-1) polynomial through k distinct points and the
+parity symbols are its values at n-k further points, so n <= 2^w. Every
+k x k submatrix of the generator is invertible by construction.
 
 Positions are 1-based everywhere: 1..k are data, k+1..n parity.
 
@@ -37,9 +32,7 @@ from math import comb
 from typing import Mapping, NamedTuple
 
 from .errors import DecodeError, InsufficientDataError, ParameterError
-from .field import Field, field, parity_vectors
-
-FAMILIES = ("guaranteed_rs", "vandermonde_literal")
+from .field import Field, field
 
 
 class MdsCheck(NamedTuple):
@@ -56,25 +49,18 @@ class MdsCode:
     the same shape (stripe batches).
     """
 
-    def __init__(self, n: int, k: int, fld: Field, family: str = "guaranteed_rs"):
+    def __init__(self, n: int, k: int, fld: Field):
         if not 1 <= k <= n:
             raise ParameterError(f"need 1 <= k <= n, got n={n} k={k}")
-        if family not in FAMILIES:
-            raise ParameterError(f"unknown generator family {family!r}")
+        if n > fld.q:
+            raise ParameterError(
+                f"Reed-Solomon needs n <= 2^w distinct points, got n={n} w={fld.w}"
+            )
         self.n = n
         self.k = k
         self.r = n - k
         self.fld = fld
-        self.family = family
-
-        if family == "vandermonde_literal":
-            self.parity = parity_vectors(k, self.r, fld) if self.r else []
-        else:
-            if n > fld.q:
-                raise ParameterError(
-                    f"guaranteed_rs needs n <= 2^w distinct points, got n={n} w={fld.w}"
-                )
-            self.parity = self._rs_parity()
+        self.parity = self._rs_parity()
         # decode plans for recently seen position sets (bounded LRU); the
         # instance is otherwise immutable and safe to share. The cache holds
         # no reference to self, so a dropped instance is freed at once.
@@ -104,7 +90,7 @@ class MdsCode:
         return parity
 
     def __repr__(self) -> str:
-        return f"MdsCode(n={self.n}, k={self.k}, w={self.fld.w}, family={self.family!r})"
+        return f"MdsCode(n={self.n}, k={self.k}, w={self.fld.w})"
 
     def encode(self, data) -> list:
         """Data (length k) to full codeword (length n, systematic)."""
@@ -121,8 +107,7 @@ class MdsCode:
         the k supplied symbols, all in one ``Field.dots`` call. Raises
         InsufficientDataError with fewer than k pairs, ParameterError with
         more or with a position outside [1, n], and DecodeError if the
-        system is singular (possible only for the vandermonde_literal
-        family).
+        system is singular, which the Reed-Solomon generator rules out.
         """
         use = tuple(sorted(known))
         k = self.k
@@ -262,6 +247,6 @@ def _invert(mat: list[list[int]], fld: Field) -> list[list[int]] | None:
 
 
 @functools.lru_cache(maxsize=None)
-def mds_code(n: int, k: int, w: int, family: str = "guaranteed_rs") -> MdsCode:
+def mds_code(n: int, k: int, w: int) -> MdsCode:
     """Shared MdsCode instance (decode plans cached per instance)."""
-    return MdsCode(n, k, field(w), family)
+    return MdsCode(n, k, field(w))

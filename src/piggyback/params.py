@@ -49,7 +49,6 @@ class CodeParams:
     s: int
     kprime: int
     w: int = 16
-    family: str = "guaranteed_rs"
 
     def __post_init__(self):
         n, k, s, kp = self.n, self.k, self.s, self.kprime
@@ -70,7 +69,7 @@ class CodeParams:
             )
         if k >= (1 << self.w) - 1:
             raise ParameterError(f"k={k} too large for GF(2^{self.w})")
-        # construct eagerly so invalid (n, k, w, family) combos fail here
+        # construct eagerly so invalid (n, k, w) combos fail here
         self.mds_first
 
     @property
@@ -101,14 +100,14 @@ class CodeParams:
     @property
     def mds_first(self) -> MdsCode:
         """The (n, k) instance filling columns 1..s."""
-        return mds_code(self.n, self.k, self.w, self.family)
+        return mds_code(self.n, self.k, self.w)
 
     @property
     def mds_last(self) -> MdsCode:
         """The (n, k') instance in column s+1 (design1 variants only)."""
         if self.kprime == 0:
             raise ParameterError("design2 has no MDS instance in the last column")
-        return mds_code(self.n, self.kprime, self.w, self.family)
+        return mds_code(self.n, self.kprime, self.w)
 
     def describe(self) -> str:
         return (

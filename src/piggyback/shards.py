@@ -55,7 +55,7 @@ from .errors import (
     RepairError,
     UnsupportedPatternError,
 )
-from .params import CodeParams, RepairReport, Variant
+from .params import CodeParams, RepairReport
 
 MAGIC = b"PGB1"
 VERSION = 2
@@ -70,32 +70,23 @@ every shard operation."""
 
 @dataclass(frozen=True)
 class ShardHeader:
-    """Fixed per-shard metadata; identical across a set except node_index."""
+    """Fixed per-shard metadata; identical across a set except node_index.
 
-    design: int
-    n: int
-    k: int
-    s: int
-    kprime: int
-    w: int
+    ``params`` is the whole code: the header stores its n, k, s, k' and w,
+    and a design byte that follows from k'.
+    """
+
+    params: CodeParams
     node_index: int
     original_length: int
     stripe_count: int
 
     def pack(self) -> bytes:
+        p = self.params
+        design = 2 if p.kprime == 0 else 1
         return struct.pack(
-            _HEADER_FMT,
-            MAGIC,
-            VERSION,
-            self.design,
-            self.n,
-            self.k,
-            self.s,
-            self.kprime,
-            self.w,
-            self.node_index,
-            self.original_length,
-            self.stripe_count,
+            _HEADER_FMT, MAGIC, VERSION, design, p.n, p.k, p.s, p.kprime, p.w,
+            self.node_index, self.original_length, self.stripe_count,
         )
 
     @classmethod
@@ -120,11 +111,11 @@ class ShardHeader:
             raise DataError(
                 f"corrupt header: design {design} with kprime {kprime}"
             )
-        hdr = cls(design, n, k, s, kprime, w, node, length, stripes)
         try:
-            hdr.params()
+            params = CodeParams(n, k, s, kprime, w)
         except ParameterError as exc:
             raise DataError(f"corrupt header: {exc}") from exc
+        hdr = cls(params, node, length, stripes)
         need = -(-length // hdr.stripe_bytes)
         if stripes != need:
             raise DataError(
@@ -136,22 +127,14 @@ class ShardHeader:
         return hdr
 
     @property
-    def symbols_per_stripe(self) -> int:
-        return self.s * self.k + self.kprime
-
-    @property
-    def symbol_bytes(self) -> int:
-        return self.w // 8
-
-    @property
     def stripe_bytes(self) -> int:
         """File data per stripe."""
-        return self.symbols_per_stripe * self.symbol_bytes
+        return self.params.data_symbols * self.dtype.itemsize
 
     @property
     def row_bytes(self) -> int:
         """Bytes of one stripe's row: the s+1 symbols a shard stores per stripe."""
-        return (self.s + 1) * self.symbol_bytes
+        return (self.params.s + 1) * self.dtype.itemsize
 
     @property
     def payload_bytes(self) -> int:
@@ -159,7 +142,7 @@ class ShardHeader:
 
     @property
     def dtype(self):
-        return np.dtype("<u1") if self.w == 8 else np.dtype("<u2")
+        return np.dtype("<u1") if self.params.w == 8 else np.dtype("<u2")
 
     def chunks(self) -> list[range]:
         """Stripe ranges of the payload's chunks, of ``CHUNK_BYTES`` of file
@@ -171,12 +154,9 @@ class ShardHeader:
         """File (offset, size) of each column 1..s+1's segment of ``chunk``,
         one of ``chunks()``: its column 1 for every stripe, then its column
         2, and so on to s+1."""
-        size = len(chunk) * self.symbol_bytes
+        size = len(chunk) * self.dtype.itemsize
         start = HEADER_SIZE + chunk.start * self.row_bytes
-        return [(start + col * size, size) for col in range(self.s + 1)]
-
-    def params(self) -> CodeParams:
-        return CodeParams(n=self.n, k=self.k, s=self.s, kprime=self.kprime, w=self.w)
+        return [(start + col * size, size) for col in range(self.params.s + 1)]
 
 
 def shard_filename(node: int) -> str:
@@ -405,7 +385,7 @@ def load_shard_set(in_dir, skip=()) -> ShardSet:
             if name.startswith("shard_") and name.endswith(".pgb")
             and name not in skipped
         )
-    except OSError:  # a missing directory holds no shards
+    except FileNotFoundError:  # a missing directory holds no shards
         names = []
     fd = None
     try:
@@ -419,7 +399,7 @@ def load_shard_set(in_dir, skip=()) -> ShardSet:
             if header is None:
                 header = found.header = ShardHeader.unpack(blob)
                 same, expected = _set_bytes(blob), HEADER_SIZE + header.payload_bytes
-            elif _set_bytes(blob) != same or not 1 <= node <= header.n:
+            elif _set_bytes(blob) != same or not 1 <= node <= header.params.n:
                 # unpack names a corrupt field; a valid header with other set
                 # bytes has other fields, as the packing is one-to-one
                 ShardHeader.unpack(blob)
@@ -471,7 +451,7 @@ class ShardReader:
             raise RepairError(f"shard for node {node} is not available{self._set.note()}")
         header = self._set.header
         offset, size = self._segments[0 if col is None else col - 1]
-        count = size // header.symbol_bytes
+        count = size // header.dtype.itemsize
         shape = (len(self._segments), count) if col is None else count
         symbols = np.empty(shape, header.dtype)
         _pread(self._set[node], symbols, offset, self._set.paths[node])
@@ -487,8 +467,6 @@ def _payload_from_row(header: ShardHeader, row) -> np.ndarray:
 
 def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
     """Stripe, encode and write all n shards for a file."""
-    if params.family != CodeParams.family:  # the header has no family field
-        raise ParameterError(f"shard format v2 cannot store family {params.family!r}")
     out_dir = Path(out_dir)
     with open(in_path, "rb", buffering=0) as src:
         info = os.fstat(src.fileno())
@@ -498,17 +476,7 @@ def encode_file(params: CodeParams, in_path, out_dir) -> list[Path]:
         length = info.st_size
         ds = params.data_symbols
         stripe_bytes = ds * (params.w // 8)
-        sample = ShardHeader(
-            design=2 if params.variant is Variant.DESIGN2 else 1,
-            n=params.n,
-            k=params.k,
-            s=params.s,
-            kprime=params.kprime,
-            w=params.w,
-            node_index=1,
-            original_length=length,
-            stripe_count=-(-length // stripe_bytes),
-        )
+        sample = ShardHeader(params, 1, length, -(-length // stripe_bytes))
         headers = [replace(sample, node_index=node) for node in range(1, params.n + 1)]
 
         # each thread keeps one flat buffer and builds each chunk's stripe,
@@ -549,7 +517,7 @@ def decode_file(in_dir, out_path) -> int:
     """Rebuild the original file from k shards, or k-1 by the r+1 sweep."""
     with load_shard_set(in_dir) as shard_set, _shortfall_noted(shard_set):
         header = shard_set.header
-        params = header.params()
+        params = header.params
         length = header.original_length
         stripe.require_rows(params, len(shard_set))
         with _atomic_files([out_path]) as (out,):
@@ -577,7 +545,7 @@ def _survivors(in_dir, nodes: list[int]):
     if not nodes:
         raise ParameterError("no failed nodes given")
     with load_shard_set(in_dir, skip=nodes) as shard_set:
-        params = shard_set.header.params()
+        params = shard_set.header.params
         for node in nodes:
             if not 1 <= node <= params.n:
                 raise ParameterError(f"node {node} out of [1, {params.n}]")

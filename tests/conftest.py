@@ -5,7 +5,7 @@ import os
 import pytest
 
 FD_DIR = "/proc/self/fd"
-LEAK_GUARDED = {"test_shards.py", "test_cli.py"}
+LEAK_GUARDED = {"test_shards.py", "test_cli.py", "test_properties.py"}
 
 
 def open_fds() -> dict[str, str]:

@@ -4,6 +4,7 @@ import io
 import json
 import os
 import random
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +13,7 @@ import pytest
 
 from piggyback import CodeParams, analysis, cli, shards
 from piggyback.cli import main
-from piggyback.shards import HEADER_SIZE, ShardHeader
+from piggyback.shards import HEADER_SIZE
 
 SRC = str(Path(shards.__file__).resolve().parent.parent)
 CHILD_ENV = os.environ | {"PYTHONPATH": SRC + os.pathsep + os.environ.get("PYTHONPATH", "")}
@@ -163,9 +164,9 @@ def test_header_without_valid_code_exit_3(tmp_path, capsys, fields):
     bad_dir = tmp_path / "shards"
     bad_dir.mkdir()
     base = dict(design=1, n=8, k=6, s=1, kprime=3, w=8, node_index=1,
-                original_length=0, stripe_count=0)
-    base.update(fields)
-    (bad_dir / "shard_0001.pgb").write_bytes(ShardHeader(**base).pack())
+                original_length=0, stripe_count=0) | fields
+    blob = struct.pack(shards._HEADER_FMT, shards.MAGIC, shards.VERSION, *base.values())
+    (bad_dir / "shard_0001.pgb").write_bytes(blob)
     code = run(["decode", "--in-dir", bad_dir, "--out", tmp_path / "out.bin"])
     assert code == 3
     err = json.loads(capsys.readouterr().err.strip())
@@ -410,6 +411,15 @@ def test_decode_to_missing_directory_is_io_error(tmp_path, capsys):
     message = json.loads(err[0])["message"]
     assert "out.bin" in message and ".tmp" not in message
     assert not (tmp_path / "missing").exists()
+
+
+def test_decode_from_a_file_as_in_dir_is_io_error(tmp_path, capsys):
+    src = write_file(tmp_path, 100, seed=12)
+    assert run(["decode", "--in-dir", src, "--out", tmp_path / "out.bin"]) == 3
+    err = capsys.readouterr().err.strip().split("\n")
+    assert len(err) == 1 and json.loads(err[0])["error"] == "io"
+    assert str(src) in json.loads(err[0])["message"]
+    assert not (tmp_path / "out.bin").exists()
 
 
 def test_decode_over_directory_names_it_and_leaves_no_temp(tmp_path, capsys):

@@ -16,7 +16,6 @@ from piggyback import (
     design1,
     field,
     grid_reader,
-    parity_vectors,
 )
 
 P863 = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
@@ -122,15 +121,15 @@ class TestEncode:
             design1.encode_stripe(P863, [0] * 8)
 
     def test_last_column_layout_8_6_1_3(self):
-        # layout over the literal power parities, checked against a direct
+        # layout over the code's parity rows, checked against a direct
         # construction of every piggyback sum from the raw columns
-        params = CodeParams(8, 6, 1, 3, w=8, family="vandermonde_literal")
+        params = P863
         data = rand_data(params, seed=21)
         a1, b = data[:6], data[6:]
         grid = design1.encode_stripe(params, data)
         f = field(8)
-        P = parity_vectors(6, 2, f)
-        Q = parity_vectors(3, 5, f)
+        P = params.mds_first.parity
+        Q = params.mds_last.parity
         col1 = a1 + [f.dot(P[0], a1), f.dot(P[1], a1)]
         piggy = {
             1: col1[0] ^ col1[7],   # a11 + P2a1

@@ -16,7 +16,6 @@ from piggyback import (
     design2,
     field,
     grid_reader,
-    parity_vectors,
 )
 
 P750 = CodeParams(n=7, k=5, s=2, kprime=0, w=8)
@@ -101,11 +100,11 @@ class TestEncode:
             design2.encode_stripe(P750, [0] * 9)
 
     def test_layout_7_5_2_0_cell_for_cell(self):
-        params = CodeParams(n=7, k=5, s=2, kprime=0, w=8, family="vandermonde_literal")
+        params = P750
         data = rand_data(params, seed=30)
         grid = design2.encode_stripe(params, data)
         f = field(8)
-        P = parity_vectors(5, 2, f)
+        P = params.mds_first.parity
         a1, a2 = data[:5], data[5:]
         col1 = a1 + [f.dot(P[0], a1), f.dot(P[1], a1)]
         col2 = a2 + [f.dot(P[0], a2), f.dot(P[1], a2)]

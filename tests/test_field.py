@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from piggyback import ParameterError, field, parity_vectors
+from piggyback import ParameterError, field
 from piggyback.field import (
     PACKED_TABLES,
     PRODUCT_TABLES,
@@ -489,39 +489,6 @@ def test_dots_takes_packed_tables_from_three_rows(w):
     assert f.packed_table.cache_info().misses == 0
     f.dots([[2, 3, 4, 5]] * 3, arrays)
     assert f.packed_table.cache_info().misses == 4
-
-
-def test_parity_vectors_row1_all_ones():
-    f = field(16)
-    mat = parity_vectors(11, 4, f)
-    assert mat[0] == [1] * 11
-
-
-def test_parity_vectors_row2_consecutive_powers():
-    f = field(8)
-    mat = parity_vectors(3, 2, f)
-    assert mat[1] == [0x02, 0x04, 0x08]
-    # row 2 column c is eta^c in general
-    mat = parity_vectors(10, 2, f)
-    assert mat[1] == [f.pow(f.eta, c) for c in range(1, 11)]
-
-
-def test_parity_vectors_general_entry():
-    f = field(8)
-    mat = parity_vectors(7, 5, f)
-    rng = random.Random(13)
-    for _ in range(30):
-        j = rng.randrange(1, 6)
-        c = rng.randrange(1, 8)
-        assert mat[j - 1][c - 1] == f.pow(f.eta, c * (j - 1))
-
-
-def test_parity_vectors_rejects_large_k():
-    f = field(8)
-    with pytest.raises(ParameterError):
-        parity_vectors(255, 2, f)
-    with pytest.raises(ParameterError):
-        parity_vectors(0, 2, f)
 
 
 def test_field_factory_caches():

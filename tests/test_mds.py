@@ -23,26 +23,6 @@ def test_zero_data_encodes_to_zero():
     assert inst.encode([0] * 6) == [0] * 8
 
 
-def test_k1_literal_parity_is_eta_powers():
-    inst = mds_code(6, 1, 8, "vandermonde_literal")
-    f = field(8)
-    d = 0x35
-    cw = inst.encode([d])
-    for j in range(1, 6):
-        assert cw[j] == f.mul(f.pow(f.eta, j - 1), d)
-
-
-def test_literal_first_parity_is_xor_of_data():
-    rng = random.Random(0)
-    inst = mds_code(8, 6, 8, "vandermonde_literal")
-    data = [rng.randrange(256) for _ in range(6)]
-    cw = inst.encode(data)
-    acc = 0
-    for x in data:
-        acc ^= x
-    assert cw[6] == acc
-
-
 def test_encode_is_linear():
     rng = random.Random(1)
     inst = mds_code(10, 7, 16)
@@ -68,17 +48,16 @@ def test_decode_systematic_positions_direct():
     assert out == cw
 
 
-@pytest.mark.parametrize("family", ["guaranteed_rs", "vandermonde_literal"])
-def test_decode_all_erasure_patterns_8_6(family):
+def test_decode_all_erasure_patterns_8_6():
     rng = random.Random(3)
-    inst = mds_code(8, 6, 8, family)
+    inst = mds_code(8, 6, 8)
     data = [rng.randrange(256) for _ in range(6)]
     cw = inst.encode(data)
     for keep in itertools.combinations(range(1, 9), 6):
         out = inst.decode({p: cw[p - 1] for p in keep})
         assert out == cw, keep
     # stripe arrays of uint16 symbols, as w=16 shards hold them
-    wide = mds_code(8, 6, 16, family)
+    wide = mds_code(8, 6, 16)
     stripes = np.random.default_rng(3).integers(0, 1 << 16, (6, 64), dtype=np.uint16)
     cw = wide.encode(list(stripes))
     for keep in itertools.combinations(range(1, 9), 6):
@@ -108,20 +87,6 @@ def test_verify_mds_guaranteed_rs_passes():
     for n, k in [(8, 6), (12, 8), (10, 1), (9, 8)]:
         check = mds_code(n, k, 8).verify_mds()
         assert check.passed and check.witness is None
-
-
-def test_verify_mds_literal_8_6_regression():
-    # frozen: the literal power construction is MDS at (8,6) over GF(2^8)
-    check = mds_code(8, 6, 8, "vandermonde_literal").verify_mds()
-    assert check.passed
-    assert check.tested == 28
-
-
-def test_verify_mds_literal_12_6_fails_with_witness():
-    # frozen: first failing subset found by the exhaustive submatrix check
-    check = mds_code(12, 6, 8, "vandermonde_literal").verify_mds()
-    assert not check.passed
-    assert check.witness == (1, 3, 4, 7, 9, 12)
 
 
 @pytest.fixture
@@ -154,11 +119,31 @@ def test_sampled_verify_inverts_at_most_r_by_r(inverted_sizes):
     assert max(inverted_sizes) <= 8
 
 
-def test_literal_singular_decode_names_positions():
-    inst = mds_code(12, 6, 8, "vandermonde_literal")
-    witness = (1, 3, 4, 7, 9, 12)
-    with pytest.raises(DecodeError, match=r"\(1, 3, 4, 7, 9, 12\)"):
-        inst.decode({p: 0x17 for p in witness})
+@pytest.fixture
+def singular_pairs(monkeypatch):
+    """Every 2 x 2 block mds._invert is given is singular, so a k-subset
+    with two erased data positions does not decode."""
+    invert = mds._invert
+    monkeypatch.setattr(
+        mds, "_invert", lambda mat, fld: None if len(mat) == 2 else invert(mat, fld)
+    )
+
+
+def test_singular_decode_names_positions(singular_pairs):
+    inst = MdsCode(8, 6, field(8))  # fresh, so no plan is cached yet
+    cw = inst.encode([0x17] * 6)
+    assert inst.decode({p: cw[p - 1] for p in (1, 2, 3, 4, 5, 7)}) == cw
+    with pytest.raises(DecodeError, match=r"\(1, 2, 3, 4, 7, 8\)"):
+        inst.decode({p: cw[p - 1] for p in (1, 2, 3, 4, 7, 8)})
+
+
+def test_verify_mds_singular_block_gives_witness(singular_pairs):
+    # in lexicographic order, (1, 2, 3, 4, 7, 8) is the sixth 6-subset
+    # and the first with two erased data positions
+    check = MdsCode(8, 6, field(8)).verify_mds()
+    assert not check.passed
+    assert check.witness == (1, 2, 3, 4, 7, 8)
+    assert check.tested == 6
 
 
 def test_verify_mds_budget_exceeded_points_to_sampled():
@@ -200,9 +185,7 @@ def test_solve_matches_encode():
             inst.solve(known, [0, 1])
 
 
-def test_bad_family_and_shape_rejected():
-    with pytest.raises(ParameterError):
-        MdsCode(8, 6, field(8), family="cauchy")
+def test_bad_shape_rejected():
     with pytest.raises(ParameterError):
         MdsCode(6, 8, field(8))
     with pytest.raises(ParameterError):

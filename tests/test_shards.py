@@ -4,6 +4,7 @@ import itertools
 import os
 import random
 import shutil
+import struct
 import subprocess
 import sys
 import threading
@@ -32,11 +33,20 @@ from piggyback.shards import HEADER_SIZE, ShardHeader
 SRC = str(Path(shards.__file__).resolve().parent.parent)
 
 
+HEADER_FIELDS = dict(design=1, n=8, k=6, s=1, kprime=3, w=8,
+                     node_index=2, original_length=100, stripe_count=12)
+
+
 def header(**overrides):
-    base = dict(design=1, n=8, k=6, s=1, kprime=3, w=8,
-                node_index=2, original_length=100, stripe_count=12)
-    base.update(overrides)
-    return ShardHeader(**base)
+    """The header of HEADER_FIELDS, with ``overrides`` of its last three."""
+    base = dict(node_index=2, original_length=100, stripe_count=12) | overrides
+    return ShardHeader(CodeParams(n=8, k=6, s=1, kprime=3, w=8), **base)
+
+
+def header_bytes(**overrides):
+    """HEADER_FIELDS with ``overrides`` packed as a v2 header, valid or not."""
+    fields = HEADER_FIELDS | overrides
+    return struct.pack(shards._HEADER_FMT, shards.MAGIC, shards.VERSION, *fields.values())
 
 
 def write_file(tmp_path, size, seed=0):
@@ -51,7 +61,15 @@ class TestHeader:
         hdr = header()
         blob = hdr.pack()
         assert len(blob) == HEADER_SIZE == 33
+        assert blob == header_bytes()
         assert ShardHeader.unpack(blob) == hdr
+        # the design byte follows from k': 2 for k' = 0, else 1
+        p = CodeParams(n=7, k=5, s=2, kprime=0, w=16)
+        hdr = ShardHeader(p, 7, 0, 0)
+        assert hdr.pack() == header_bytes(design=2, n=7, k=5, s=2, kprime=0, w=16,
+                                          node_index=7, original_length=0,
+                                          stripe_count=0)
+        assert ShardHeader.unpack(hdr.pack()) == hdr
 
     def test_magic_and_version_checked(self):
         blob = header().pack()
@@ -83,18 +101,18 @@ class TestHeader:
 
     def test_design_byte_consistency(self):
         with pytest.raises(DataError, match="design"):
-            ShardHeader.unpack(header(design=2, kprime=3).pack())
+            ShardHeader.unpack(header_bytes(design=2, kprime=3))
         with pytest.raises(DataError, match="design"):
-            ShardHeader.unpack(header(design=1, kprime=0).pack())
+            ShardHeader.unpack(header_bytes(design=1, kprime=0))
 
     def test_length_capacity_check(self):
-        bad = header(original_length=9 * 12 + 1)  # 9 symbols/stripe, w=8
+        bad = header_bytes(original_length=9 * 12 + 1)  # 9 symbols/stripe, w=8
         with pytest.raises(DataError, match="original_length"):
-            ShardHeader.unpack(bad.pack())
+            ShardHeader.unpack(bad)
 
     def test_node_range_check(self):
         with pytest.raises(DataError, match="node_index"):
-            ShardHeader.unpack(header(node_index=9).pack())
+            ShardHeader.unpack(header_bytes(node_index=9))
 
 
 @pytest.mark.parametrize("design,params", [
@@ -219,17 +237,6 @@ def test_zero_length_file_has_zero_stripes(tmp_path):
     out = tmp_path / "restored.bin"
     shards.decode_file(out_dir, out)
     assert out.read_bytes() == b""
-
-
-def test_encode_rejects_family_the_header_cannot_store(tmp_path):
-    # decode rebuilds guaranteed_rs from the header, so any other family
-    # would come back as wrong bytes
-    p = CodeParams(n=10, k=6, s=1, kprime=6, w=8, family="vandermonde_literal")
-    src = write_file(tmp_path, 1000, seed=9)
-    out_dir = tmp_path / "shards"
-    with pytest.raises(ParameterError, match="vandermonde_literal"):
-        shards.encode_file(p, src, out_dir)
-    assert not out_dir.exists()
 
 
 def test_decode_from_partial_set(tmp_path):
@@ -524,6 +531,50 @@ def test_no_shard_but_the_one_to_rebuild_is_a_shortfall(tmp_path):
         shards.repair_shard(out_dir, 1)
     with shards.load_shard_set(out_dir) as shard_set:
         assert list(shard_set) == [1]
+
+
+def test_in_dir_that_is_a_file_names_the_cause(tmp_path):
+    # only a missing directory holds no shards: a file in its place is an
+    # error that says so, not a shortfall
+    path = write_file(tmp_path, 100)
+    with pytest.raises(NotADirectoryError):
+        shards.decode_file(path, tmp_path / "out.bin")
+    with pytest.raises(NotADirectoryError):
+        shards.repair_shard(path, 1)
+    with pytest.raises(DataError, match="no shards found"):
+        shards.decode_file(tmp_path / "nowhere", tmp_path / "out.bin")
+    with pytest.raises(InsufficientDataError, match="no surviving shards"):
+        shards.repair_shard(tmp_path / "nowhere", 1)
+    assert not (tmp_path / "out.bin").exists()
+
+
+def test_one_code_params_per_shard_operation(tmp_path, monkeypatch):
+    # the header holds the code it validated, so an operation builds its
+    # CodeParams once: when load_shard_set unpacks the first header
+    p = CodeParams(n=8, k=6, s=1, kprime=3, w=8)
+    src = write_file(tmp_path, 1000, seed=24)
+    out_dir = tmp_path / "shards"
+    shards.encode_file(p, src, out_dir)
+    built = []
+    post_init = CodeParams.__post_init__
+
+    def counted(self):
+        built.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(CodeParams, "__post_init__", counted)
+    operations = {
+        "decode": lambda: shards.decode_file(out_dir, tmp_path / "out.bin"),
+        "repair": lambda: shards.repair_shard(out_dir, 2),
+        "recover": lambda: shards.recover_shards(out_dir, [3, 5]),
+    }
+    counts = {}
+    for name, operation in operations.items():
+        built.clear()
+        operation()
+        counts[name] = len(built)
+    assert counts == {"decode": 1, "repair": 1, "recover": 1}
+    assert (tmp_path / "out.bin").read_bytes() == src.read_bytes()
 
 
 def test_shortfall_names_left_out_shard(tmp_path):

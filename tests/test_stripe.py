@@ -176,7 +176,7 @@ def test_array_repair_and_decode_build_no_lane_table(monkeypatch):
     fld = Field(16)  # fresh, so every table it builds is counted
     monkeypatch.setattr(
         params_module, "mds_code",
-        functools.lru_cache(None)(lambda n, k, w, family: MdsCode(n, k, fld, family)),
+        functools.lru_cache(None)(lambda n, k, w: MdsCode(n, k, fld)),
     )
     params = CodeParams(14, 10, 2, 10, w=16)
     rng = np.random.default_rng(17)
